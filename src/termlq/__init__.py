@@ -62,13 +62,11 @@ from .qlearn import (
     StageExtract,
     TerminalWeights,
     TransitionOracle,
-    TransitionSample,
     default_gaussian_spec,
     extract_stage,
     fit_stage,
     learn,
     learned_policy,
-    make_stage_dataset,
     model_qmatrix,
     pack_symmetric,
     regressor_matrix,
@@ -118,13 +116,12 @@ __all__ = [
     "optimal_policy", "rollout", "costate_sequence", "costate_residual",
     "evaluate_augmented_cost",
     # qlearn
-    "TransitionOracle", "SimulatedPlant", "ReplayLog", "TransitionSample",
-    "StageDataset", "QMatrix", "GaussianSpec", "LearnedSchedule",
-    "FitDiagnostics", "TerminalWeights", "StageCarry", "StageExtract",
-    "default_gaussian_spec", "make_stage_dataset", "sample_threshold",
-    "sample_stage_data", "regressor_row", "regressor_matrix", "pack_symmetric",
-    "unpack_symmetric", "stage_targets", "fit_stage", "extract_stage",
-    "model_qmatrix", "learn", "learned_policy",
+    "TransitionOracle", "SimulatedPlant", "ReplayLog", "StageDataset",
+    "QMatrix", "GaussianSpec", "LearnedSchedule", "FitDiagnostics",
+    "TerminalWeights", "StageCarry", "StageExtract", "default_gaussian_spec",
+    "sample_threshold", "sample_stage_data", "regressor_row", "regressor_matrix",
+    "pack_symmetric", "unpack_symmetric", "stage_targets", "fit_stage",
+    "extract_stage", "model_qmatrix", "learn", "learned_policy",
     # harness
     "KktSolution", "ComparisonReport", "ErrorStats", "CampaignSpec",
     "CampaignSummary", "kkt_oracle", "verify_solution", "monte_carlo",

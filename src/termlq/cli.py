@@ -43,7 +43,7 @@ from .fileio import (
     read_replay_log,
     write_report,
 )
-from .harness import CampaignSpec, kkt_oracle, monte_carlo, verify_solution
+from .harness import CampaignSpec, monte_carlo, verify_solution
 from .linalg import numerical_rank
 from .model import (
     ProblemInstance,
@@ -173,11 +173,10 @@ def _cmd_verify(args) -> dict:
     seed, l, dist = _resolve_learn_options(args, doc.learn, inst.n, inst.m)
     sched = solve_schedule(inst)
     lamsol = solve_lambda(sched, inst)
-    traj = rollout(inst, optimal_policy(sched, lamsol.lambda_star))
     learned = learn(SimulatedPlant(inst), (inst.n, inst.m, inst.N),
                     (inst.Q, inst.R, inst.H), inst.x0, inst.xi, l, dist, seed)
     comparison = verify_solution(inst, sched, lamsol, learned)
-    oracle = kkt_oracle(inst)
+    traj = comparison.model_trajectory
     report = _head("verify", seed, inst)
     report["samples"] = l
     report["schedule"] = {"P": _flat(sched.P), "K": _flat(sched.K), "K1": _flat(sched.K1)}
@@ -191,8 +190,8 @@ def _cmd_verify(args) -> dict:
         "cost_gap": comparison.cost_gap,
         "terminal_errors": list(comparison.terminal_errors),
         "per_stage_condition": list(comparison.per_stage_condition),
-        "kkt_cost": oracle.cost,
-        "kkt_residual": oracle.kkt_residual,
+        "kkt_cost": comparison.oracle.cost,
+        "kkt_residual": comparison.oracle.kkt_residual,
     }
     return report
 

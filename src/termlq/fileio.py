@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, ParseError, ValidationError
-from .model import ProblemInstance, make_instance, validate_instance
-from .qlearn import ReplayLog, TransitionSample
+from .errors import IoError, ParseError
+from .model import ProblemInstance, make_instance, require_valid
+from .qlearn import ReplayLog
 
 FLOAT_FORMAT = ".17g"
 
@@ -113,10 +113,7 @@ def load_instance_file(path: str | Path) -> InstanceFile:
     xi = _as_vector(_require(doc, "xi"), "xi", n)
 
     inst = make_instance(A, B, Q, R, H, x0, xi)
-    report = validate_instance(inst)
-    if not report.ok:
-        first = report.failures()[0]
-        raise ValidationError(f"instance check '{first.name}' failed: {first.detail}")
+    require_valid(inst)
 
     settings = None
     if "learn" in doc:
@@ -231,15 +228,17 @@ def instance_hash(inst: ProblemInstance) -> str:
     return hashlib.sha256(dumps_report(doc).encode()).hexdigest()
 
 
-def write_replay_log(samples, path: str | Path) -> None:
+def write_replay_log(batches, path: str | Path) -> None:
     """One transition per line: k, then x, u, lam, x_next entries as decimal
-    floats at full precision."""
+    floats at full precision. Each batch (a StageDataset or a ReplayLog)
+    carries row-aligned arrays k, X, U, L, Xn, with k one stage for the
+    whole batch or one per row; batches are written in order."""
     lines = []
-    for s in samples:
-        fields = [str(int(s.k))]
-        for block in (s.x, s.u, s.lam, s.x_next):
-            fields.extend(format(float(v), FLOAT_FORMAT) for v in block)
-        lines.append(" ".join(fields))
+    for b in batches:
+        ks = np.broadcast_to(np.asarray(b.k, dtype=np.int64), (len(b.X),))
+        rows = np.hstack([b.X, b.U, b.L, b.Xn])
+        for k, row in zip(ks.tolist(), rows.tolist()):
+            lines.append(" ".join([str(k)] + [format(v, FLOAT_FORMAT) for v in row]))
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -253,7 +252,8 @@ def read_replay_log(path: str | Path, n: int, m: int) -> ReplayLog:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     width = 1 + 3 * n + m
-    samples = []
+    ks: list[int] = []
+    rows: list[list[float]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -262,12 +262,12 @@ def read_replay_log(path: str | Path, n: int, m: int) -> ReplayLog:
             raise ParseError(f"line {lineno}: expected {width} fields, found {len(parts)}")
         try:
             k = int(parts[0])
-            vals = [float(p) for p in parts[1:]]
+            rows.append([float(p) for p in parts[1:]])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        x = np.array(vals[:n])
-        u = np.array(vals[n:n + m])
-        lam = np.array(vals[n + m:2 * n + m])
-        x_next = np.array(vals[2 * n + m:])
-        samples.append(TransitionSample(k=k, x=x, u=u, lam=lam, x_next=x_next))
-    return ReplayLog(samples)
+        if abs(k) >= 2 ** 63:
+            raise ParseError(f"line {lineno}: stage {k} does not fit a 64-bit integer")
+        ks.append(k)
+    V = np.array(rows, dtype=float).reshape(len(rows), width - 1)
+    return ReplayLog(np.array(ks, dtype=np.int64), V[:, :n], V[:, n:n + m],
+                     V[:, n + m:2 * n + m], V[:, 2 * n + m:])

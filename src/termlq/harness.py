@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleConstraint, SingularKkt, ValidationError
+from .errors import InfeasibleConstraint, SingularKkt, TermLqError, ValidationError
 from .linalg import Array, range_tol, rank_cutoff, ro, sym
 from .model import (
     LambdaSolution,
     ModelSchedule,
     ProblemInstance,
+    Trajectory,
     check_reachability,
     drift_product,
     make_instance,
@@ -54,13 +55,17 @@ class KktSolution:
 class ComparisonReport:
     """Cross-path error summary. terminal_errors holds (model, learned)
     rollout misses; with no learned schedule the learned slots collapse to
-    the model values and per_stage_condition is empty."""
+    the model values and per_stage_condition is empty. model_trajectory and
+    oracle are the model rollout and the KKT solution the summary compares,
+    so callers need not recompute them."""
 
     max_gain_error: float
     lambda_error: float
     cost_gap: float
     terminal_errors: tuple[float, float]
     per_stage_condition: tuple[float, ...]
+    model_trajectory: Trajectory
+    oracle: KktSolution
 
 
 @dataclass(frozen=True)
@@ -188,7 +193,8 @@ def verify_solution(inst: ProblemInstance, sched: ModelSchedule, lamsol: LambdaS
                                 cost_gap=float(cost_gap),
                                 terminal_errors=(model_traj.terminal_error,
                                                  model_traj.terminal_error),
-                                per_stage_condition=())
+                                per_stage_condition=(), model_trajectory=model_traj,
+                                oracle=oracle)
 
     gain_err = 0.0
     for k in range(inst.N + 1):
@@ -204,7 +210,8 @@ def verify_solution(inst: ProblemInstance, sched: ModelSchedule, lamsol: LambdaS
         lambda_error=lam_err,
         cost_gap=float(cost_gap),
         terminal_errors=(model_traj.terminal_error, learned_traj.terminal_error),
-        per_stage_condition=tuple(d.cond for d in learned.fit_diagnostics))
+        per_stage_condition=tuple(d.cond for d in learned.fit_diagnostics),
+        model_trajectory=model_traj, oracle=oracle)
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int, N: int) -> ProblemInstance:
@@ -246,8 +253,9 @@ def monte_carlo(spec: CampaignSpec) -> CampaignSummary:
 
     Per trial: draw a reachable random instance, solve the model-based path,
     run the model-free learner against a simulated plant, solve the oracle,
-    and record the error spread. Per-instance failures are counted, never
-    raised. Deterministic given the campaign seed.
+    and record the error spread. Per-instance failures (any TermLqError)
+    are counted, never raised; any other exception is a program fault and
+    propagates. Deterministic given the campaign seed.
     """
     for name, (lo, hi), floor in (("n_range", spec.n_range, 1),
                                   ("m_range", spec.m_range, 1),
@@ -277,7 +285,7 @@ def monte_carlo(spec: CampaignSpec) -> CampaignSummary:
                             default_gaussian_spec(inst.n, inst.m),
                             seed=int(rng.integers(2 ** 63)))
             report = verify_solution(inst, sched, lamsol, learned)
-        except Exception:
+        except TermLqError:
             failures += 1
             continue
         gain_errs.append(report.max_gain_error)

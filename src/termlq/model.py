@@ -91,15 +91,14 @@ class ModelSchedule:
 class LambdaSolution:
     """Multiplier solve outcome.
 
-    residual is the 2-norm of Phi(0,N) x0 - G(0) lambda* - xi; in_range marks
-    residual <= the relative range tolerance; min_norm marks that G(0) was
-    numerically rank deficient, so lambda* is the minimum-norm pick among
-    many solutions.
+    residual is the 2-norm of Phi(0,N) x0 - G(0) lambda* - xi, never above
+    the relative range tolerance (solve_lambda raises otherwise); min_norm
+    marks that G(0) was numerically rank deficient, so lambda* is the
+    minimum-norm pick among many solutions.
     """
 
     lambda_star: Array
     residual: float
-    in_range: bool
     min_norm: bool
 
 
@@ -302,13 +301,11 @@ def solve_lambda(sched: ModelSchedule, inst: ProblemInstance) -> LambdaSolution:
     """
     rhs = sched.Phi[0] @ inst.x0 - inst.xi
     lam, resid, rank = min_norm_solve(sched.G[0], rhs)
-    in_range = resid <= range_tol(inst.xi)
-    if not in_range:
+    if resid > range_tol(inst.xi):
         raise NotReachable(
             f"multiplier equation residual {resid:.6e} exceeds tolerance "
             f"{range_tol(inst.xi):.6e}")
-    return LambdaSolution(lambda_star=ro(lam), residual=resid,
-                          in_range=in_range, min_norm=rank < inst.n)
+    return LambdaSolution(lambda_star=ro(lam), residual=resid, min_norm=rank < inst.n)
 
 
 def optimal_control(sched: ModelSchedule, lam: Array, k: int, x: Array) -> Array:
@@ -346,6 +343,16 @@ def rollout(inst: ProblemInstance, policy: Callable[[int, Array], Array]) -> Tra
                       cost=cost, terminal_error=terminal_error)
 
 
+def _adjoint(inst: ProblemInstance, traj: Trajectory, lam: Array) -> list[Array]:
+    # p(N) = H x(N+1) + lambda, then backward p(k-1) = A(k)' p(k) + Q x(k)
+    N = inst.N
+    p: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
+    p[N] = inst.H @ traj.states[N + 1] + lam
+    for k in range(N, 0, -1):
+        p[k - 1] = inst.A[k].T @ p[k] + inst.Q @ traj.states[k]
+    return p
+
+
 def costate_sequence(inst: ProblemInstance, sched: ModelSchedule, traj: Trajectory,
                      lam: Array) -> CostateSequence:
     """Adjoint reconstruction along a trajectory.
@@ -355,27 +362,18 @@ def costate_sequence(inst: ProblemInstance, sched: ModelSchedule, traj: Trajecto
     the closed loop, eta(k-1) = Ac(k)' eta(k), which equals Phi(k,N)' lambda.
     """
     N = inst.N
-    p: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    p[N] = ro(inst.H @ traj.states[N + 1] + lam)
-    for k in range(N, 0, -1):
-        p[k - 1] = ro(inst.A[k].T @ p[k] + inst.Q @ traj.states[k])
     eta: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
     eta[N] = ro(np.asarray(lam, dtype=float))
     for k in range(N, 0, -1):
         eta[k - 1] = ro(sched.Ac[k].T @ eta[k])
-    return CostateSequence(p=tuple(p), eta=tuple(eta))
+    return CostateSequence(p=tuple(ro(v) for v in _adjoint(inst, traj, lam)), eta=tuple(eta))
 
 
 def costate_residual(inst: ProblemInstance, traj: Trajectory, lam: Array) -> float:
     """Stationarity defect max_k || R u(k) + B(k)' p(k) ||_inf along the
     trajectory; zero (to roundoff) exactly at the optimum."""
-    N = inst.N
-    p = inst.H @ traj.states[N + 1] + lam
-    worst = float(np.abs(inst.R @ traj.inputs[N] + inst.B[N].T @ p).max())
-    for k in range(N, 0, -1):
-        p = inst.A[k].T @ p + inst.Q @ traj.states[k]
-        worst = max(worst, float(np.abs(inst.R @ traj.inputs[k - 1] + inst.B[k - 1].T @ p).max()))
-    return worst
+    return max(float(np.abs(inst.R @ u + B.T @ p).max())
+               for u, B, p in zip(traj.inputs, inst.B, _adjoint(inst, traj, lam)))
 
 
 def evaluate_augmented_cost(inst: ProblemInstance, traj: Trajectory, lam: Array) -> float:

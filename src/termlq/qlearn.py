@@ -1,9 +1,9 @@
 """Model-free recovery of the terminal-constrained LQ controller.
 
 The learner never reads the plant matrices. Per stage it probes the plant
-with Gaussian (state, input, multiplier) triples, observes one-step
-transitions through a TransitionOracle, and fits the stage kernel Lambda(k)
-of the quadratic form
+with a batch of Gaussian (state, input, multiplier) triples, observes the
+one-step transitions through a TransitionOracle, and fits the stage kernel
+Lambda(k) of the quadratic form
 
     q(x, u, lam) = z' Lambda(k) z,   z = (x, u, lambda)
 
@@ -16,7 +16,6 @@ of the fitted blocks; the backward pass carries only learned quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,10 +35,11 @@ RESIDUAL_WARN_RTOL = 1e-6
 
 
 class TransitionOracle:
-    """One-step plant access: step(k, x, u) -> x_next. Implementations hide
-    the system matrices from the learner."""
+    """One-step plant access for a batch of probes: step(k, X, U) -> Xn with
+    one row per probe, Xn[i] the successor of state X[i] under input U[i] at
+    stage k. Implementations hide the system matrices from the learner."""
 
-    def step(self, k: int, x: Array, u: Array) -> Array:
+    def step(self, k: int, X: Array, U: Array) -> Array:
         raise NotImplementedError
 
 
@@ -53,46 +53,42 @@ class SimulatedPlant(TransitionOracle):
     def __init__(self, inst: ProblemInstance):
         self._inst = inst
 
-    def step(self, k: int, x: Array, u: Array) -> Array:
+    def step(self, k: int, X: Array, U: Array) -> Array:
         inst = self._inst
         if not 0 <= k <= inst.N:
             raise OracleMiss(f"stage {k} outside 0..{inst.N}")
-        return inst.A[k] @ np.asarray(x, dtype=float) + inst.B[k] @ np.asarray(u, dtype=float)
-
-
-@dataclass(frozen=True)
-class TransitionSample:
-    """One recorded probe: (k, x, u, lam, x_next)."""
-
-    k: int
-    x: Array
-    u: Array
-    lam: Array
-    x_next: Array
+        X = np.asarray(X, dtype=float)
+        U = np.asarray(U, dtype=float)
+        # stacked matrix-vector products: each row equals A(k) @ x + B(k) @ u
+        # bit for bit, which a GEMM over the batch does not
+        return (inst.A[k] @ X[:, :, None])[:, :, 0] + (inst.B[k] @ U[:, :, None])[:, :, 0]
 
 
 class ReplayLog(TransitionOracle):
-    """Serves pre-recorded transitions; raises OracleMiss on any query it
-    has no record for. Lookup is exact on (stage, state, input) so a learner
+    """Serves pre-recorded transitions, held as row-aligned arrays: stage k,
+    state X, input U, multiplier probe L and successor Xn, one row per
+    record. Raises OracleMiss when any queried row has no record. Lookup is
+    exact on (stage, state, input), the first record winning, so a learner
     re-running the recorded seed gets byte-identical answers."""
 
-    def __init__(self, samples: Sequence[TransitionSample]):
-        self.samples = tuple(samples)
-        self._table: dict[tuple[int, bytes, bytes], Array] = {}
-        for s in self.samples:
-            key = (int(s.k), _key_bytes(s.x), _key_bytes(s.u))
-            self._table.setdefault(key, s.x_next)
+    def __init__(self, k, X: Array, U: Array, L: Array, Xn: Array):
+        self.X, self.U, self.L, self.Xn = (np.asarray(a, dtype=float) for a in (X, U, L, Xn))
+        self.k = np.broadcast_to(np.asarray(k, dtype=np.int64), self.X.shape[:1])
+        self._rows: dict[bytes, int] = {}
+        for i, key in enumerate(_row_keys(self.k, self.X, self.U)):
+            self._rows.setdefault(key, i)
 
-    def step(self, k: int, x: Array, u: Array) -> Array:
-        key = (int(k), _key_bytes(x), _key_bytes(u))
-        hit = self._table.get(key)
-        if hit is None:
+    def step(self, k: int, X: Array, U: Array) -> Array:
+        rows = [self._rows.get(key) for key in _row_keys(np.full(len(X), k), X, U)]
+        if None in rows:
             raise OracleMiss(f"no recorded transition for stage {k} with the queried (x, u)")
-        return hit
+        return self.Xn[rows]
 
 
-def _key_bytes(v: Array) -> bytes:
-    return np.ascontiguousarray(v, dtype=np.float64).tobytes()
+def _row_keys(k: Array, X: Array, U: Array) -> list[bytes]:
+    # the float64 bytes of each row of [k, x, u]: exact-match lookup keys
+    rows = np.column_stack([np.asarray(k, dtype=np.float64), X, U])
+    return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -119,21 +115,15 @@ def default_gaussian_spec(n: int, m: int, mean: float = 0.0,
 
 @dataclass(frozen=True)
 class StageDataset:
-    """l probes at one stage plus the regression sizes: z_dim = 2n+m and
-    feature_dim = z_dim (z_dim + 1) / 2 packed coefficients."""
+    """l probes at stage k as row-aligned arrays: states X (l, n), inputs
+    U (l, m), multiplier probes L (l, n) and the oracle's successors
+    Xn (l, n)."""
 
     k: int
-    samples: tuple[TransitionSample, ...]
-    z_dim: int
-    feature_dim: int
-
-
-def make_stage_dataset(k: int, samples: Sequence[TransitionSample]) -> StageDataset:
-    samples = tuple(samples)
-    n = samples[0].x.shape[0]
-    m = samples[0].u.shape[0]
-    d = 2 * n + m
-    return StageDataset(k=int(k), samples=samples, z_dim=d, feature_dim=d * (d + 1) // 2)
+    X: Array
+    U: Array
+    L: Array
+    Xn: Array
 
 
 def sample_threshold(n: int, m: int) -> int:
@@ -145,8 +135,8 @@ def sample_threshold(n: int, m: int) -> int:
 def sample_stage_data(oracle: TransitionOracle, k: int, l: int, dist: GaussianSpec,
                       seed: int) -> StageDataset:
     """Draw l i.i.d. Gaussian (x, u, lam) probes for stage k and record the
-    oracle's one-step answers. Deterministic given (seed, k); each stage
-    uses an independent substream."""
+    oracle's one-step answers, one batch query per stage. Deterministic
+    given (seed, k); each stage uses an independent substream."""
     n = dist.x_mean.shape[0]
     m = dist.u_mean.shape[0]
     need = sample_threshold(n, m)
@@ -157,12 +147,10 @@ def sample_stage_data(oracle: TransitionOracle, k: int, l: int, dist: GaussianSp
     X = dist.x_mean + std * rng.standard_normal((l, n))
     U = dist.u_mean + std * rng.standard_normal((l, m))
     L = dist.lam_mean + std * rng.standard_normal((l, n))
-    samples = []
-    for i in range(l):
-        x_next = np.asarray(oracle.step(k, X[i], U[i]), dtype=float)
-        samples.append(TransitionSample(k=int(k), x=ro(X[i]), u=ro(U[i]),
-                                        lam=ro(L[i]), x_next=ro(x_next)))
-    return make_stage_dataset(k, samples)
+    Xn = np.asarray(oracle.step(k, X, U), dtype=float)
+    if Xn.shape != X.shape:
+        raise ValueError(f"oracle answered shape {Xn.shape} for {X.shape} probe states")
+    return StageDataset(k=int(k), X=ro(X), U=ro(U), L=ro(L), Xn=ro(Xn))
 
 
 def regressor_row(z: Array) -> Array:
@@ -312,10 +300,7 @@ def stage_targets(ds: StageDataset, Q: Array, R: Array,
     """
     if carry is None:
         raise CarryMissing(f"stage {ds.k} target requested without a fitted successor")
-    X = np.stack([s.x for s in ds.samples])
-    U = np.stack([s.u for s in ds.samples])
-    L = np.stack([s.lam for s in ds.samples])
-    Xn = np.stack([s.x_next for s in ds.samples])
+    X, U, L, Xn = ds.X, ds.U, ds.L, ds.Xn
     gamma = np.einsum("ij,jk,ik->i", X, Q, X) + np.einsum("ij,jk,ik->i", U, R, U)
     if isinstance(carry, TerminalWeights):
         gamma = gamma + np.einsum("ij,jk,ik->i", Xn, carry.H, Xn)
@@ -335,20 +320,19 @@ def fit_stage(ds: StageDataset, gamma: Array) -> tuple[QMatrix, FitDiagnostics]:
     reports the residual and the regressor condition number. Raises
     RankDeficient when Ups loses column rank at the shared cutoff.
     """
-    Z = np.stack([np.concatenate([s.x, s.u, s.lam]) for s in ds.samples])
-    Ups = regressor_matrix(Z)
+    n, m = ds.X.shape[1], ds.U.shape[1]
+    need = sample_threshold(n, m)
+    Ups = regressor_matrix(np.hstack([ds.X, ds.U, ds.L]))
     rcond = max(Ups.shape) * RANK_RTOL
     nu, _, rank, sv = np.linalg.lstsq(Ups, gamma, rcond=rcond)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if rank < ds.feature_dim:
+    if rank < need:
         raise RankDeficient(
-            f"stage {ds.k} regressor rank {rank} < {ds.feature_dim}",
+            f"stage {ds.k} regressor rank {rank} < {need}",
             rank=int(rank), cond=cond)
     residual = float(np.linalg.norm(Ups @ nu - gamma))
     warn = residual > RESIDUAL_WARN_RTOL * float(np.linalg.norm(gamma))
-    n = ds.samples[0].x.shape[0]
-    m = ds.samples[0].u.shape[0]
-    qm = QMatrix(k=ds.k, n=n, m=m, Lambda=ro(unpack_symmetric(nu, ds.z_dim)))
+    qm = QMatrix(k=ds.k, n=n, m=m, Lambda=ro(unpack_symmetric(nu, 2 * n + m)))
     return qm, FitDiagnostics(residual=residual, cond=cond, high_residual=bool(warn))
 
 

@@ -125,8 +125,7 @@ def check_quadratic_form_identity(cases: int, seed: int) -> int:
                                seed=int(rng.integers(2 ** 63)))
         gamma = stage_targets(ds, inst.Q, inst.R, TerminalWeights(H=inst.H))
         qm, _ = fit_stage(ds, gamma)
-        for s in ds.samples:
-            z = np.concatenate([s.x, s.u, s.lam])
+        for z in np.hstack([ds.X, ds.U, ds.L]):
             direct = z @ qm.Lambda @ z
             packed = regressor_row(z) @ qm.nu
             # identical sums in a different order; allow only the

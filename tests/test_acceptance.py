@@ -17,6 +17,7 @@ from termlq import (
     InfeasibleConstraint,
     RankDeficient,
     SimulatedPlant,
+    StageDataset,
     TerminalWeights,
     check_reachability,
     default_gaussian_spec,
@@ -26,7 +27,6 @@ from termlq import (
     learn,
     learned_policy,
     make_instance,
-    make_stage_dataset,
     optimal_policy,
     rollout,
     sample_stage_data,
@@ -174,7 +174,7 @@ def test_criterion_6_sample_threshold_is_sharp():
         ds = sample_stage_data(SimulatedPlant(inst), N, l,
                                default_gaussian_spec(n, m), seed=trial)
         targets = stage_targets(ds, inst.Q, inst.R, TerminalWeights(H=inst.H))
-        short = make_stage_dataset(N, ds.samples[:l - 1])
+        short = StageDataset(N, ds.X[:l - 1], ds.U[:l - 1], ds.L[:l - 1], ds.Xn[:l - 1])
         try:
             fit_stage(short, targets[:l - 1])
         except RankDeficient:

@@ -124,11 +124,10 @@ class TestLearn:
         inst = example_instance()
         plant = SimulatedPlant(inst)
         dist = default_gaussian_spec(inst.n, inst.m)
-        samples = []
-        for k in range(inst.N + 1):
-            samples.extend(sample_stage_data(plant, k, 30, dist, seed=7).samples)
+        datasets = [sample_stage_data(plant, k, 30, dist, seed=7)
+                    for k in range(inst.N + 1)]
         log_path = tmp_path / "probes.log"
-        write_replay_log(samples, log_path)
+        write_replay_log(datasets, log_path)
 
         from_plant = tmp_path / "plant.json"
         from_log = tmp_path / "log.json"
@@ -143,9 +142,9 @@ class TestLearn:
         inst = example_instance()
         plant = SimulatedPlant(inst)
         dist = default_gaussian_spec(inst.n, inst.m)
-        samples = list(sample_stage_data(plant, 0, 30, dist, seed=7).samples)
+        stage0 = sample_stage_data(plant, 0, 30, dist, seed=7)
         log_path = tmp_path / "partial.log"
-        write_replay_log(samples, log_path)
+        write_replay_log([stage0], log_path)
         code, _, err = run_cli(
             ["learn", "--instance", fixture_file, "--replay", log_path], capsys)
         assert code == 4

@@ -12,7 +12,7 @@ from termlq import (
     ParseError,
     ReplayLog,
     SimulatedPlant,
-    TransitionSample,
+    StageDataset,
     ValidationError,
     default_gaussian_spec,
     sample_stage_data,
@@ -182,30 +182,28 @@ class TestInstanceHash:
 
 
 class TestReplayLogFile:
-    def _samples(self, example):
+    def _dataset(self, example):
         dist = default_gaussian_spec(example.n, example.m)
-        return sample_stage_data(SimulatedPlant(example), 2, 15, dist, seed=11).samples
+        return sample_stage_data(SimulatedPlant(example), 2, 15, dist, seed=11)
 
     def test_round_trip_is_exact(self, example, tmp_path):
-        samples = self._samples(example)
+        ds = self._dataset(example)
         p = tmp_path / "log.txt"
-        write_replay_log(samples, p)
+        write_replay_log([ds], p)
         log = read_replay_log(p, example.n, example.m)
-        assert len(log.samples) == len(samples)
-        for got, want in zip(log.samples, samples):
-            assert got.k == want.k
-            np.testing.assert_array_equal(got.x, want.x)
-            np.testing.assert_array_equal(got.u, want.u)
-            np.testing.assert_array_equal(got.lam, want.lam)
-            np.testing.assert_array_equal(got.x_next, want.x_next)
+        assert len(log.X) == len(ds.X)
+        np.testing.assert_array_equal(log.k, np.full(len(ds.X), ds.k))
+        np.testing.assert_array_equal(log.X, ds.X)
+        np.testing.assert_array_equal(log.U, ds.U)
+        np.testing.assert_array_equal(log.L, ds.L)
+        np.testing.assert_array_equal(log.Xn, ds.Xn)
 
     def test_round_tripped_log_answers_queries(self, example, tmp_path):
-        samples = self._samples(example)
+        ds = self._dataset(example)
         p = tmp_path / "log.txt"
-        write_replay_log(samples, p)
+        write_replay_log([ds], p)
         log = read_replay_log(p, example.n, example.m)
-        s = samples[3]
-        np.testing.assert_array_equal(log.step(s.k, s.x, s.u), s.x_next)
+        np.testing.assert_array_equal(log.step(ds.k, ds.X[3:4], ds.U[3:4]), ds.Xn[3:4])
 
     def test_wrong_width_line_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -219,34 +217,38 @@ class TestReplayLogFile:
         with pytest.raises(ParseError, match="line 1"):
             read_replay_log(p, 2, 1)
 
+    def test_oversized_stage_reports_line_number(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("0 1 2 3 1 2 3 4\n100000000000000000000 1 2 3 1 2 3 4\n")
+        with pytest.raises(ParseError, match="line 2: stage"):
+            read_replay_log(p, 2, 1)
+
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "gaps.txt"
         p.write_text("\n0 1 2 3 1 2 3 4\n\n")
         log = read_replay_log(p, 2, 1)
-        assert len(log.samples) == 1
-        assert log.samples[0].k == 0
+        assert len(log.X) == 1
+        assert log.k[0] == 0
 
     def test_write_refuses_unwritable_path(self, tmp_path):
-        sample = TransitionSample(
+        batch = StageDataset(
             k=0,
-            x=np.zeros(2),
-            u=np.zeros(1),
-            lam=np.zeros(2),
-            x_next=np.zeros(2))
+            X=np.zeros((1, 2)),
+            U=np.zeros((1, 1)),
+            L=np.zeros((1, 2)),
+            Xn=np.zeros((1, 2)))
         with pytest.raises(IoError, match="cannot write"):
-            write_replay_log([sample], tmp_path / "no" / "dir" / "log.txt")
+            write_replay_log([batch], tmp_path / "no" / "dir" / "log.txt")
 
     def test_replay_log_type_round_trips(self, tmp_path):
-        samples = [
-            TransitionSample(
-                k=1,
-                x=np.array([0.5, -1.5]),
-                u=np.array([2.25]),
-                lam=np.array([0.0, 1.0]),
-                x_next=np.array([1.0 / 3.0, -7.0]))
-        ]
+        batch = StageDataset(
+            k=1,
+            X=np.array([[0.5, -1.5]]),
+            U=np.array([[2.25]]),
+            L=np.array([[0.0, 1.0]]),
+            Xn=np.array([[1.0 / 3.0, -7.0]]))
         p = tmp_path / "one.txt"
-        write_replay_log(samples, p)
+        write_replay_log([batch], p)
         log = read_replay_log(p, 2, 1)
         assert isinstance(log, ReplayLog)
-        np.testing.assert_array_equal(log.samples[0].x_next, samples[0].x_next)
+        np.testing.assert_array_equal(log.Xn[0], batch.Xn[0])

@@ -10,6 +10,7 @@ import pytest
 from termlq import (
     CampaignSpec,
     InfeasibleConstraint,
+    RankDeficient,
     SimulatedPlant,
     ValidationError,
     costate_residual,
@@ -26,6 +27,7 @@ from termlq import (
     solve_schedule,
     verify_solution,
 )
+from termlq import harness
 
 from golden import example_instance
 
@@ -153,3 +155,20 @@ class TestMonteCarlo:
             monte_carlo(CampaignSpec(count=1, seed=1, n_range=(3, 1)))
         with pytest.raises(ValidationError):
             monte_carlo(CampaignSpec(count=1, seed=1, N_range=(-1, 2)))
+
+    def test_toolkit_error_counts_as_failure(self, monkeypatch):
+        def failing_learn(*args, **kwargs):
+            raise RankDeficient("stage 0 regressor rank 0 < 6", rank=0, cond=float("inf"))
+        monkeypatch.setattr(harness, "learn", failing_learn)
+        summary = monte_carlo(CampaignSpec(count=3, seed=5, n_range=(1, 2),
+                                           m_range=(1, 1), N_range=(0, 2)))
+        assert summary.failures == 3
+        assert summary.completed == 0
+
+    def test_program_fault_propagates(self, monkeypatch):
+        def broken_learn(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+        monkeypatch.setattr(harness, "learn", broken_learn)
+        with pytest.raises(ValueError, match="broadcast"):
+            monte_carlo(CampaignSpec(count=3, seed=5, n_range=(1, 2),
+                                     m_range=(1, 1), N_range=(0, 2)))

@@ -31,6 +31,7 @@ from termlq import (
     solve_schedule,
     validate_instance,
 )
+from termlq.linalg import range_tol
 
 from golden import (
     EXACT_COST,
@@ -257,10 +258,10 @@ class TestReachability:
 
 
 class TestLambda:
-    def test_example_multiplier(self, example_lambda):
+    def test_example_multiplier(self, example, example_lambda):
         npt.assert_allclose(example_lambda.lambda_star, PRINTED_LAMBDA, atol=1e-3)
         npt.assert_allclose(example_lambda.lambda_star, EXACT_LAMBDA, rtol=1e-12)
-        assert example_lambda.in_range
+        assert example_lambda.residual <= range_tol(example.xi)
         assert not example_lambda.min_norm
 
     def test_target_on_closed_loop_drift_gives_zero(self, example):

@@ -18,15 +18,15 @@ from termlq import (
     SimulatedPlant,
     SingularBlock,
     StageCarry,
+    StageDataset,
     TerminalWeights,
-    TransitionSample,
     default_gaussian_spec,
     draw_reachable_instance,
     extract_stage,
     fit_stage,
     learn,
     learned_policy,
-    make_stage_dataset,
+    make_instance,
     model_qmatrix,
     pack_symmetric,
     regressor_matrix,
@@ -53,6 +53,23 @@ from golden import (
 DIST2 = default_gaussian_spec(2, 1)
 
 
+def rows(ds, idx):
+    """The probes of ds at the given row indices, in that order."""
+    return StageDataset(ds.k, ds.X[idx], ds.U[idx], ds.L[idx], ds.Xn[idx])
+
+
+def repeated(k, x, u, lam, x_next, l=15):
+    """A stage dataset of l copies of one probe."""
+    return StageDataset(k, *(np.tile(v, (l, 1)) for v in (x, u, lam, x_next)))
+
+
+def replay_of(datasets):
+    """One replay log holding the probes of several stage datasets."""
+    return ReplayLog(np.concatenate([np.full(len(ds.X), ds.k) for ds in datasets]),
+                     *(np.concatenate([getattr(ds, f) for ds in datasets])
+                       for f in ("X", "U", "L", "Xn")))
+
+
 def example_learned(example, l=GOLDEN_LEARN_SAMPLES, seed=GOLDEN_LEARN_SEED,
                   dist=None):
     return learn(SimulatedPlant(example), (example.n, example.m, example.N),
@@ -73,26 +90,34 @@ class TestSampling:
     def test_same_seed_same_dataset(self, example):
         a = sample_stage_data(SimulatedPlant(example), 1, 20, DIST2, seed=42)
         b = sample_stage_data(SimulatedPlant(example), 1, 20, DIST2, seed=42)
-        for sa, sb in zip(a.samples, b.samples):
-            npt.assert_array_equal(sa.x, sb.x)
-            npt.assert_array_equal(sa.u, sb.u)
-            npt.assert_array_equal(sa.lam, sb.lam)
-            npt.assert_array_equal(sa.x_next, sb.x_next)
+        npt.assert_array_equal(a.X, b.X)
+        npt.assert_array_equal(a.U, b.U)
+        npt.assert_array_equal(a.L, b.L)
+        npt.assert_array_equal(a.Xn, b.Xn)
 
     def test_stages_use_distinct_substreams(self, example):
         a = sample_stage_data(SimulatedPlant(example), 0, 20, DIST2, seed=42)
         b = sample_stage_data(SimulatedPlant(example), 1, 20, DIST2, seed=42)
-        assert not np.array_equal(a.samples[0].x, b.samples[0].x)
+        assert not np.array_equal(a.X[0], b.X[0])
 
     def test_plant_answers_are_exact(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 2, 15, DIST2, seed=3)
-        for s in ds.samples:
-            npt.assert_array_equal(s.x_next,
-                                   example.A[2] @ s.x + example.B[2] @ s.u)
+        # every row of the batched answer equals the per-row product bit for
+        # bit, also at (n, m) = (8, 4), where a GEMM over the batch does not
+        rng = np.random.default_rng(84)
+        wide = make_instance([rng.standard_normal((8, 8)) for _ in range(3)],
+                             [rng.standard_normal((8, 4)) for _ in range(3)],
+                             np.eye(8), np.eye(4), np.eye(8),
+                             rng.standard_normal(8), rng.standard_normal(8))
+        for inst, l in ((example, 15), (wide, sample_threshold(8, 4))):
+            dist = default_gaussian_spec(inst.n, inst.m)
+            ds = sample_stage_data(SimulatedPlant(inst), 2, l, dist, seed=3)
+            assert ds.Xn.shape == (l, inst.n)
+            for x, u, x_next in zip(ds.X, ds.U, ds.Xn):
+                npt.assert_array_equal(x_next, inst.A[2] @ x + inst.B[2] @ u)
 
     def test_full_rank_at_example_count(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 0, 30, DIST2, seed=GOLDEN_LEARN_SEED)
-        Z = np.stack([np.concatenate([s.x, s.u, s.lam]) for s in ds.samples])
+        Z = np.hstack([ds.X, ds.U, ds.L])
         assert np.linalg.matrix_rank(regressor_matrix(Z)) == 15
 
 
@@ -134,17 +159,13 @@ class TestPacking:
 class TestTargets:
     def test_terminal_hand_value(self, example):
         # x=(1,0), u=0, lam=0: x+ = A(2)x = (-4,2), gamma = 1 + 0 + 20 + 0
-        s = TransitionSample(k=2, x=np.array([1.0, 0.0]), u=np.zeros(1),
-                             lam=np.zeros(2),
-                             x_next=example.A[2] @ np.array([1.0, 0.0]))
-        ds = make_stage_dataset(2, [s] * 15)
+        ds = repeated(2, np.array([1.0, 0.0]), np.zeros(1), np.zeros(2),
+                      example.A[2] @ np.array([1.0, 0.0]))
         gamma = stage_targets(ds, example.Q, example.R, TerminalWeights(H=example.H))
         assert gamma[0] == pytest.approx(21.0)
 
     def test_zero_sample_gives_zero(self, example):
-        s = TransitionSample(k=2, x=np.zeros(2), u=np.zeros(1),
-                             lam=np.zeros(2), x_next=np.zeros(2))
-        ds = make_stage_dataset(2, [s] * 15)
+        ds = repeated(2, np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2))
         gamma = stage_targets(ds, example.Q, example.R, TerminalWeights(H=example.H))
         npt.assert_array_equal(gamma, np.zeros(15))
 
@@ -152,21 +173,18 @@ class TestTargets:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(2)
         u = rng.standard_normal(1)
-        s = TransitionSample(k=1, x=x, u=u, lam=np.zeros(2),
-                             x_next=example.A[1] @ x + example.B[1] @ u)
-        ds = make_stage_dataset(1, [s] * 15)
+        x_next = example.A[1] @ x + example.B[1] @ u
+        ds = repeated(1, x, u, np.zeros(2), x_next)
         carry = StageCarry(P_next=example_schedule.P[2],
                            Phi_next=example_schedule.Phi[2],
                            G_next=example_schedule.G[2])
         gamma = stage_targets(ds, example.Q, example.R, carry)
         expected = (x @ example.Q @ x + u @ example.R @ u
-                    + s.x_next @ example_schedule.P[2] @ s.x_next)
+                    + x_next @ example_schedule.P[2] @ x_next)
         assert gamma[0] == pytest.approx(expected, rel=1e-13)
 
     def test_missing_carry_refused(self, example):
-        s = TransitionSample(k=1, x=np.zeros(2), u=np.zeros(1),
-                             lam=np.zeros(2), x_next=np.zeros(2))
-        ds = make_stage_dataset(1, [s] * 15)
+        ds = repeated(1, np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2))
         with pytest.raises(CarryMissing):
             stage_targets(ds, example.Q, example.R, None)
 
@@ -191,15 +209,13 @@ class TestFitStage:
         S = rng.standard_normal((5, 5))
         target = (S + S.T) / 2.0
         ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=2)
-        gamma = np.array([np.concatenate([s.x, s.u, s.lam]) @ target
-                          @ np.concatenate([s.x, s.u, s.lam])
-                          for s in ds.samples])
+        gamma = np.array([z @ target @ z for z in np.hstack([ds.X, ds.U, ds.L])])
         qm, _ = fit_stage(ds, gamma)
         npt.assert_allclose(qm.Lambda, target, atol=1e-9)
 
     def test_duplicate_rows_lose_rank(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 0, 15, DIST2, seed=4)
-        dup = make_stage_dataset(0, ds.samples[:-1] + (ds.samples[0],))
+        dup = rows(ds, list(range(14)) + [0])
         gamma = stage_targets(dup, example.Q, example.R, TerminalWeights(H=example.H))
         with pytest.raises(RankDeficient) as err:
             fit_stage(dup, gamma)
@@ -210,7 +226,7 @@ class TestFitStage:
         gamma = stage_targets(ds, example.Q, example.R, TerminalWeights(H=example.H))
         qm, _ = fit_stage(ds, gamma)
         perm = np.random.default_rng(7).permutation(25)
-        shuffled = make_stage_dataset(2, [ds.samples[i] for i in perm])
+        shuffled = rows(ds, perm)
         qm2, _ = fit_stage(shuffled, gamma[perm])
         npt.assert_allclose(qm2.nu, qm.nu, atol=1e-10)
 
@@ -309,24 +325,35 @@ class TestLearn:
 class TestReplayLog:
     def test_serves_recorded_transitions(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=5)
-        log = ReplayLog(ds.samples)
-        s = ds.samples[3]
-        npt.assert_array_equal(log.step(1, s.x, s.u), s.x_next)
+        log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
+        npt.assert_array_equal(log.step(1, ds.X[3:4], ds.U[3:4]), ds.Xn[3:4])
 
     def test_miss_raises(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=5)
-        log = ReplayLog(ds.samples)
+        log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
         with pytest.raises(OracleMiss):
-            log.step(0, ds.samples[0].x, ds.samples[0].u)
+            log.step(0, ds.X[:1], ds.U[:1])
+
+    def test_permuted_batch_answered_in_query_order(self, example):
+        ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
+        perm = np.random.default_rng(3).permutation(15)
+        npt.assert_array_equal(log.step(1, ds.X[perm], ds.U[perm]), ds.Xn[perm])
+
+    def test_single_unrecorded_row_misses(self, example):
+        ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
+        X = ds.X.copy()
+        X[7, 0] = np.nextafter(X[7, 0], np.inf)
+        with pytest.raises(OracleMiss):
+            log.step(1, X, ds.U)
 
     def test_replay_reproduces_plant_learning(self, example):
-        samples = []
-        for k in range(example.N + 1):
-            ds = sample_stage_data(SimulatedPlant(example), k,
-                                   GOLDEN_LEARN_SAMPLES, DIST2,
-                                   seed=GOLDEN_LEARN_SEED)
-            samples.extend(ds.samples)
-        from_log = learn(ReplayLog(samples), (example.n, example.m, example.N),
+        datasets = [sample_stage_data(SimulatedPlant(example), k,
+                                      GOLDEN_LEARN_SAMPLES, DIST2,
+                                      seed=GOLDEN_LEARN_SEED)
+                    for k in range(example.N + 1)]
+        from_log = learn(replay_of(datasets), (example.n, example.m, example.N),
                          (example.Q, example.R, example.H), example.x0, example.xi,
                          GOLDEN_LEARN_SAMPLES, DIST2, seed=GOLDEN_LEARN_SEED)
         from_plant = example_learned(example)
