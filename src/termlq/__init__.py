@@ -67,10 +67,8 @@ from .qlearn import (
     fit_stage,
     learn,
     learned_policy,
-    model_qmatrix,
     pack_symmetric,
     regressor_matrix,
-    regressor_row,
     sample_stage_data,
     sample_threshold,
     stage_targets,
@@ -119,9 +117,9 @@ __all__ = [
     "TransitionOracle", "SimulatedPlant", "ReplayLog", "StageDataset",
     "QMatrix", "GaussianSpec", "LearnedSchedule", "FitDiagnostics",
     "TerminalWeights", "StageCarry", "StageExtract", "default_gaussian_spec",
-    "sample_threshold", "sample_stage_data", "regressor_row", "regressor_matrix",
+    "sample_threshold", "sample_stage_data", "regressor_matrix",
     "pack_symmetric", "unpack_symmetric", "stage_targets", "fit_stage",
-    "extract_stage", "model_qmatrix", "learn", "learned_policy",
+    "extract_stage", "learn", "learned_policy",
     # harness
     "KktSolution", "ComparisonReport", "ErrorStats", "CampaignSpec",
     "CampaignSummary", "kkt_oracle", "verify_solution", "monte_carlo",

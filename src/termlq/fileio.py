@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -152,19 +154,24 @@ def _emit(obj, indent: int, out: list[str]) -> None:
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             out.append("[]")
             return
-        flat = all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in seq)
-        if flat:
-            out.append("[" + ", ".join(_scalar(v) for v in seq) + "]")
+        if all(type(v) is float for v in obj):
+            # rows from ndarray.tolist(); exact floats only, since ints,
+            # bools and numpy scalars must go through _scalar
+            if not all(map(math.isfinite, obj)):
+                raise IoError("non-finite value in report")
+            out.append("[" + ", ".join(map(format, obj, repeat(FLOAT_FORMAT))) + "]")
+            return
+        if all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in obj):
+            out.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
             return
         out.append("[\n")
-        for i, value in enumerate(seq):
+        for i, value in enumerate(obj):
             out.append(pad + "  ")
             _emit(value, indent + 1, out)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
+            out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), indent, out)
@@ -177,13 +184,13 @@ def _emit(obj, indent: int, out: list[str]) -> None:
 def _scalar(v) -> str:
     if v is None:
         return "null"
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         f = float(v)
-        if not np.isfinite(f):
+        if not math.isfinite(f):
             raise IoError("non-finite value in report")
         return format(f, FLOAT_FORMAT)
     if isinstance(v, str):

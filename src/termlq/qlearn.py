@@ -28,7 +28,7 @@ from .errors import (
     SingularBlock,
 )
 from .linalg import Array, RANK_RTOL, is_pd, min_norm_solve, range_tol, ro, sym
-from .model import ModelSchedule, ProblemInstance
+from .model import ProblemInstance
 
 # fitted residuals above this fraction of ||gamma|| get flagged
 RESIDUAL_WARN_RTOL = 1e-6
@@ -153,19 +153,11 @@ def sample_stage_data(oracle: TransitionOracle, k: int, l: int, dist: GaussianSp
     return StageDataset(k=int(k), X=ro(X), U=ro(U), L=ro(L), Xn=ro(Xn))
 
 
-def regressor_row(z: Array) -> Array:
-    """Feature row for one probe: upper triangle of z z' in row-major order,
-    diagonal entries z_j^2 and off-diagonal entries 2 z_i z_j, so that
-    row . nu = z' Lambda z when nu packs Lambda's upper triangle entrywise."""
-    z = np.asarray(z, dtype=float)
-    d = z.shape[0]
-    zz = np.outer(z, z)
-    w = 2.0 * zz - np.diag(z * z)
-    return w[np.triu_indices(d)]
-
-
 def regressor_matrix(Z: Array) -> Array:
-    """Stacked regressor rows for an (l, d) block of probes."""
+    """Regressor rows for an (l, d) block of probes: row r is the upper
+    triangle of z z' for z = Z[r] in row-major order, diagonal entries z_j^2
+    and off-diagonal entries 2 z_i z_j, so that row . nu = z' Lambda z when
+    nu packs Lambda's upper triangle entrywise."""
     l, d = Z.shape
     iu = np.triu_indices(d)
     prods = Z[:, :, None] * Z[:, None, :]
@@ -355,28 +347,6 @@ def extract_stage(qm: QMatrix, G_next: Array) -> StageExtract:
     Phi_row = qm.L31 - qm.L32 @ W21
     G = sym(np.asarray(G_next, dtype=float) + qm.L32 @ W32)
     return StageExtract(K=ro(K), K1=ro(K1), P=ro(P), Phi_row=ro(Phi_row), G=ro(G))
-
-
-def model_qmatrix(inst: ProblemInstance, sched: ModelSchedule, k: int) -> QMatrix:
-    """Stage kernel assembled from the model-based schedule (the quantity the
-    fit should recover exactly on noise-free data): blocks Q + A'P(k+1)A,
-    B'P(k+1)A, Gamma(k), Phi(k+1,N)A, Phi(k+1,N)B and -G(k+1)."""
-    A, B = inst.A[k], inst.B[k]
-    P_next = sched.P[k + 1]
-    Phi_next = sched.Phi[k + 1]
-    n, m = inst.n, inst.m
-    d = 2 * n + m
-    Lam = np.zeros((d, d))
-    Lam[:n, :n] = inst.Q + A.T @ P_next @ A
-    Lam[n:n + m, :n] = B.T @ P_next @ A
-    Lam[n:n + m, n:n + m] = sched.Gamma[k]
-    Lam[n + m:, :n] = Phi_next @ A
-    Lam[n + m:, n:n + m] = Phi_next @ B
-    Lam[n + m:, n + m:] = -sched.G[k + 1]
-    Lam[:n, n:n + m] = Lam[n:n + m, :n].T
-    Lam[:n, n + m:] = Lam[n + m:, :n].T
-    Lam[n:n + m, n + m:] = Lam[n + m:, n:n + m].T
-    return QMatrix(k=k, n=n, m=m, Lambda=ro(sym(Lam)))
 
 
 def learn(oracle: TransitionOracle, dims: tuple[int, int, int],

@@ -16,7 +16,6 @@ from termlq import (
     make_instance,
     optimal_policy,
     pack_symmetric,
-    regressor_row,
     rollout,
     sample_stage_data,
     sample_threshold,
@@ -25,6 +24,8 @@ from termlq import (
     stage_targets,
     unpack_symmetric,
 )
+
+from qkernels import regressor_row
 
 
 def _random_valid_instance(rng):

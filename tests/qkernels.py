@@ -1,0 +1,43 @@
+"""Test-only references for the learner: the regressor row of a single
+probe and the stage kernel the fit should recover, assembled from the
+model-based schedule."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from termlq import ModelSchedule, ProblemInstance, QMatrix
+from termlq.linalg import ro, sym
+
+
+def regressor_row(z) -> np.ndarray:
+    """Feature row for one probe: upper triangle of z z' in row-major order,
+    diagonal entries z_j^2 and off-diagonal entries 2 z_i z_j, so that
+    row . nu = z' Lambda z when nu packs Lambda's upper triangle entrywise."""
+    z = np.asarray(z, dtype=float)
+    d = z.shape[0]
+    zz = np.outer(z, z)
+    w = 2.0 * zz - np.diag(z * z)
+    return w[np.triu_indices(d)]
+
+
+def model_qmatrix(inst: ProblemInstance, sched: ModelSchedule, k: int) -> QMatrix:
+    """Stage kernel assembled from the model-based schedule (the quantity the
+    fit should recover exactly on noise-free data): blocks Q + A'P(k+1)A,
+    B'P(k+1)A, Gamma(k), Phi(k+1,N)A, Phi(k+1,N)B and -G(k+1)."""
+    A, B = inst.A[k], inst.B[k]
+    P_next = sched.P[k + 1]
+    Phi_next = sched.Phi[k + 1]
+    n, m = inst.n, inst.m
+    d = 2 * n + m
+    Lam = np.zeros((d, d))
+    Lam[:n, :n] = inst.Q + A.T @ P_next @ A
+    Lam[n:n + m, :n] = B.T @ P_next @ A
+    Lam[n:n + m, n:n + m] = sched.Gamma[k]
+    Lam[n + m:, :n] = Phi_next @ A
+    Lam[n + m:, n:n + m] = Phi_next @ B
+    Lam[n + m:, n + m:] = -sched.G[k + 1]
+    Lam[:n, n:n + m] = Lam[n:n + m, :n].T
+    Lam[:n, n + m:] = Lam[n + m:, :n].T
+    Lam[n:n + m, n + m:] = Lam[n + m:, n:n + m].T
+    return QMatrix(k=k, n=n, m=m, Lambda=ro(sym(Lam)))

@@ -277,15 +277,17 @@ def checkout_env():
 class TestEntryPoint:
     def test_installed_script_runs(self, fixture_file, tmp_path):
         # the wrapper pip writes for the [project.scripts] entry, so the
-        # declared target is exercised without installing the package
+        # declared target is exercised without installing the package, and
+        # the package run as a module
         module, attr = (part.strip() for part in declared_script("termlq").split(":"))
         script = tmp_path / "termlq"
         script.write_text(f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())\n")
-        proc = subprocess.run(
-            [sys.executable, str(script), "reach", "--instance", str(fixture_file)],
-            capture_output=True, text=True, env=checkout_env())
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["reachable"] is True
+        for launcher in ([str(script)], ["-m", "termlq"]):
+            proc = subprocess.run(
+                [sys.executable, *launcher, "reach", "--instance", str(fixture_file)],
+                capture_output=True, text=True, env=checkout_env())
+            assert proc.returncode == 0, (launcher, proc.stderr)
+            assert json.loads(proc.stdout)["reachable"] is True
 
     def test_unknown_command_exits_nonzero(self):
         proc = subprocess.run(

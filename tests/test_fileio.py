@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import termlq.cli
 from termlq import (
     IoError,
     ParseError,
@@ -15,6 +17,7 @@ from termlq import (
     StageDataset,
     ValidationError,
     default_gaussian_spec,
+    make_instance,
     sample_stage_data,
 )
 from termlq.fileio import (
@@ -29,6 +32,7 @@ from termlq.fileio import (
 )
 
 from golden import FIXTURE_HASH, example_instance
+from reference_report import reference_dumps_report
 
 
 class TestLoadInstance:
@@ -157,18 +161,99 @@ class TestReports:
         text = dumps_report({"v": 1 / 3})
         assert "0.33333333333333331" in text
         assert float(json.loads(text)["v"]) == 1 / 3
+        # sequences of plain floats take the fast path, anything else the
+        # per-element one; both must render as the reference does
+        cases = [
+            ([True, 1, 2.0], "[true, 1, 2]"),
+            ([10**20, 1.0], "[100000000000000000000, 1]"),
+            (-0.0, "-0"),
+            ([-0.0, 1.5], "[-0, 1.5]"),
+            (5e-324, "4.9406564584124654e-324"),
+            ([5e-324, 1 / 3], "[4.9406564584124654e-324, 0.33333333333333331]"),
+            ((0.5, -2.0), "[0.5, -2]"),
+            ([], "[]"),
+            ((), "[]"),
+        ]
+        for value, rendered in cases:
+            text = dumps_report({"v": value})
+            assert text == f'{{\n  "v": {rendered}\n}}\n', value
+            assert text == reference_dumps_report({"v": value}), value
 
     def test_numpy_scalars_serialize_like_python(self):
         assert dumps_report({"v": np.float64(2.5)}) == dumps_report({"v": 2.5})
         assert dumps_report({"v": np.int64(4)}) == dumps_report({"v": 4})
 
     def test_non_finite_value_refused(self):
-        with pytest.raises(IoError, match="non-finite"):
-            dumps_report({"v": float("inf")})
+        for value in (float("inf"), [1.0, float("nan")], [float("inf")],
+                      np.array([1.0, np.nan])):
+            with pytest.raises(IoError, match="non-finite"):
+                dumps_report({"v": value})
 
     def test_unserializable_type_refused(self):
-        with pytest.raises(IoError, match="cannot serialize"):
-            dumps_report({"v": {1, 2}})
+        for value in ({1, 2}, np.True_, [1.0, np.True_]):
+            with pytest.raises(IoError, match="cannot serialize"):
+                dumps_report({"v": value})
+
+
+def long_instance():
+    # standard-normal data at (n, m, N) = (8, 4, 64) with A scaled by
+    # 1/(2 sqrt n), so the open-loop products stay bounded and the model
+    # path solves it at this horizon
+    n, m, N = 8, 4, 64
+    rng = np.random.default_rng(0)
+    A = [rng.standard_normal((n, n)) / (2 * np.sqrt(n)) for _ in range(N + 1)]
+    B = [rng.standard_normal((n, m)) for _ in range(N + 1)]
+    return make_instance(A, B, np.eye(n), np.eye(m), np.eye(n),
+                         rng.standard_normal(n), rng.standard_normal(n))
+
+
+def instance_doc(inst):
+    return {
+        "n": inst.n, "m": inst.m, "N": inst.N,
+        "A": [a.tolist() for a in inst.A], "B": [b.tolist() for b in inst.B],
+        "Q": inst.Q.tolist(), "R": inst.R.tolist(), "H": inst.H.tolist(),
+        "x0": inst.x0.tolist(), "xi": inst.xi.tolist(),
+    }
+
+
+class TestReferenceSerializer:
+    """dumps_report and instance_hash against the per-element reference in
+    tests/reference_report.py, on the reports the command line writes."""
+
+    def _reports(self, argv, capsys, monkeypatch):
+        seen = []
+
+        def recording(report):
+            seen.append(report)
+            return dumps_report(report)
+
+        monkeypatch.setattr(termlq.cli, "dumps_report", recording)
+        code = termlq.cli.main([str(a) for a in argv])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(seen) == 1
+        assert out == dumps_report(seen[0])
+        return seen[0]
+
+    def test_fixture_reports_match_reference(self, fixture_file, capsys, monkeypatch):
+        for argv in (["solve", "--instance", fixture_file],
+                     ["learn", "--instance", fixture_file, "--seed", 7, "--samples", 30],
+                     ["verify", "--instance", fixture_file],
+                     ["reach", "--instance", fixture_file]):
+            report = self._reports(argv, capsys, monkeypatch)
+            assert dumps_report(report) == reference_dumps_report(report), argv[0]
+
+    def test_long_solve_report_matches_reference(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps(instance_doc(long_instance())))
+        report = self._reports(["solve", "--instance", p], capsys, monkeypatch)
+        assert len(report["schedule"]["P"]) == 66
+        assert dumps_report(report) == reference_dumps_report(report)
+
+    def test_instance_hash_matches_reference(self, example):
+        for inst in (example, long_instance()):
+            text = reference_dumps_report(instance_doc(inst))
+            assert instance_hash(inst) == hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestInstanceHash:

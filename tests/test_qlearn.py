@@ -27,10 +27,8 @@ from termlq import (
     learn,
     learned_policy,
     make_instance,
-    model_qmatrix,
     pack_symmetric,
     regressor_matrix,
-    regressor_row,
     rollout,
     sample_stage_data,
     sample_threshold,
@@ -49,6 +47,7 @@ from golden import (
     PRINTED_NU,
     PRINTED_P,
 )
+from qkernels import model_qmatrix, regressor_row
 
 DIST2 = default_gaussian_spec(2, 1)
 
