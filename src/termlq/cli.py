@@ -3,13 +3,18 @@
 Subcommands: solve (model-based path), learn (model-free path against a
 simulated plant or a replay log), verify (both paths plus the KKT oracle),
 reach (reachability verdict), campaign (Monte Carlo sweep). Reports are
-byte-deterministic JSON; exit status encodes the failure class:
+byte-deterministic JSON; exit status encodes the failure class, the
+``exit_code`` of the TermLqError raised:
 
     0  success
-    2  validation failure (bad instance data, missing seed, singular blocks)
+    2  validation failure (bad instance data, missing seed, singular blocks,
+       a non-finite rollout state or cost)
     3  terminal target not reachable / constraint infeasible
     4  rank-deficient or insufficient data
-    5  I/O or parse error
+    5  I/O or parse error, an unwritable --out included
+
+A failure writes a report with an "error" entry to --out, or to stdout when
+there is no --out or it cannot be written.
 """
 
 from __future__ import annotations
@@ -21,20 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .errors import (
-    InfeasibleConstraint,
-    InsufficientSamples,
-    IoError,
-    NotReachable,
-    OracleMiss,
-    ParseError,
-    RankDeficient,
-    SingularBlock,
-    SingularGamma,
-    SingularKkt,
-    TermLqError,
-    ValidationError,
-)
+from .errors import TermLqError, ValidationError
 from .fileio import (
     LearnSettings,
     dumps_report,
@@ -60,30 +52,6 @@ from .qlearn import (
     learned_policy,
     sample_threshold,
 )
-
-_EXIT_CODES: tuple[tuple[type, int], ...] = (
-    (ValidationError, 2),
-    (SingularGamma, 2),
-    (SingularBlock, 2),
-    (SingularKkt, 2),
-    (NotReachable, 3),
-    (InfeasibleConstraint, 3),
-    (RankDeficient, 4),
-    (InsufficientSamples, 4),
-    (OracleMiss, 4),
-    (ParseError, 5),
-    (IoError, 5),
-)
-
-
-def _exit_code(exc: Exception) -> int:
-    for cls, code in _EXIT_CODES:
-        if isinstance(exc, cls):
-            return code
-    if isinstance(exc, OSError):
-        return 5
-    raise exc
-
 
 def _head(command: str, seed: int | None, inst: ProblemInstance | None) -> dict:
     head = {
@@ -269,32 +237,23 @@ def _deliver(report: dict, out: str | None) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            report = _cmd_solve(args)
-            code = 0
-        elif args.command == "learn":
-            report = _cmd_learn(args)
-            code = 0
-        elif args.command == "verify":
-            report = _cmd_verify(args)
-            code = 0
-        elif args.command == "reach":
+        if args.command == "reach":
             report, code = _cmd_reach(args)
         else:
-            report = _cmd_campaign(args)
-            code = 0
+            commands = {"solve": _cmd_solve, "learn": _cmd_learn, "verify": _cmd_verify,
+                        "campaign": _cmd_campaign}
+            report, code = commands[args.command](args), 0
+        _deliver(report, args.out)
+        return code
     except (TermLqError, OSError) as exc:
-        code = _exit_code(exc)
         failure = _head(args.command, getattr(args, "seed", None), None)
         failure["error"] = {"code": type(exc).__name__, "message": str(exc)}
         try:
             _deliver(failure, args.out)
         except TermLqError:
-            pass
+            _deliver(failure, None)  # --out is unwritable: report on stdout
         print(f"termlq {args.command}: {exc}", file=sys.stderr)
-        return code
-    _deliver(report, args.out)
-    return code
+        return exc.exit_code if isinstance(exc, TermLqError) else 5
 
 
 if __name__ == "__main__":

@@ -135,11 +135,6 @@ def load_instance_file(path: str | Path) -> InstanceFile:
     return InstanceFile(instance=inst, learn=settings)
 
 
-def load_instance(path: str | Path) -> ProblemInstance:
-    """Parsed and validated instance (learn block ignored)."""
-    return load_instance_file(path).instance
-
-
 def _emit(obj, indent: int, out: list[str]) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -214,15 +209,6 @@ def write_report(report: dict, path: str | Path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_report(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"document root: invalid JSON ({exc})") from exc
-
-
 def instance_hash(inst: ProblemInstance) -> str:
     """SHA-256 of the canonical instance serialization."""
     doc = {
@@ -235,25 +221,11 @@ def instance_hash(inst: ProblemInstance) -> str:
     return hashlib.sha256(dumps_report(doc).encode()).hexdigest()
 
 
-def write_replay_log(batches, path: str | Path) -> None:
-    """One transition per line: k, then x, u, lam, x_next entries as decimal
-    floats at full precision. Each batch (a StageDataset or a ReplayLog)
-    carries row-aligned arrays k, X, U, L, Xn, with k one stage for the
-    whole batch or one per row; batches are written in order."""
-    lines = []
-    for b in batches:
-        ks = np.broadcast_to(np.asarray(b.k, dtype=np.int64), (len(b.X),))
-        rows = np.hstack([b.X, b.U, b.L, b.Xn])
-        for k, row in zip(ks.tolist(), rows.tolist()):
-            lines.append(" ".join([str(k)] + [format(v, FLOAT_FORMAT) for v in row]))
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def read_replay_log(path: str | Path, n: int, m: int) -> ReplayLog:
-    """Parse a replay log for an n-state, m-input plant."""
+    """Parse a replay log for an n-state, m-input plant: one transition per
+    line, the stage k, then the x, u, lam and x_next entries as decimal
+    floats. Blank lines are skipped; a malformed line raises a ParseError
+    naming its line number."""
     try:
         text = Path(path).read_text()
     except OSError as exc:

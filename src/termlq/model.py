@@ -111,14 +111,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class CostateSequence:
-    """Adjoint sequence p(0..N) and its constraint part eta(0..N)."""
-
-    p: tuple[Array, ...]
-    eta: tuple[Array, ...]
-
-
-@dataclass(frozen=True)
 class ReachabilityResult:
     reachable: bool
     G1: Array
@@ -308,23 +300,20 @@ def solve_lambda(sched: ModelSchedule, inst: ProblemInstance) -> LambdaSolution:
     return LambdaSolution(lambda_star=ro(lam), residual=resid, min_norm=rank < inst.n)
 
 
-def optimal_control(sched: ModelSchedule, lam: Array, k: int, x: Array) -> Array:
-    """Stage control u(k) = K(k) x + K1(k) lambda."""
-    if not 0 <= k < len(sched.K):
-        raise StageOutOfRange(f"stage {k} outside 0..{len(sched.K) - 1}")
-    return sched.K[k] @ x + sched.K1[k] @ lam
-
-
 def optimal_policy(sched: ModelSchedule, lam: Array) -> Callable[[int, Array], Array]:
-    """The closed control law as a (stage, state) -> input callable."""
+    """The closed control law u(k) = K(k) x + K1(k) lambda as a
+    (stage, state) -> input callable; raises StageOutOfRange outside 0..N."""
     def policy(k: int, x: Array) -> Array:
-        return optimal_control(sched, lam, k, x)
+        if not 0 <= k < len(sched.K):
+            raise StageOutOfRange(f"stage {k} outside 0..{len(sched.K) - 1}")
+        return sched.K[k] @ x + sched.K1[k] @ lam
     return policy
 
 
 def rollout(inst: ProblemInstance, policy: Callable[[int, Array], Array]) -> Trajectory:
     """Simulate x(k+1) = A(k) x(k) + B(k) u(k) under the policy, accumulate
-    the quadratic cost, and record the terminal miss against xi."""
+    the quadratic cost, and record the terminal miss against xi. Raises
+    NonFiniteState when a state or the cost overflows."""
     x = np.array(inst.x0, dtype=float)
     states = [ro(x)]
     inputs: list[Array] = []
@@ -338,44 +327,8 @@ def rollout(inst: ProblemInstance, policy: Callable[[int, Array], Array]) -> Tra
         inputs.append(ro(u))
         states.append(ro(x))
     cost += float(x @ inst.H @ x)
+    if not np.isfinite(cost):
+        raise NonFiniteState("rollout cost is non-finite")
     terminal_error = float(np.abs(x - inst.xi).max())
     return Trajectory(states=tuple(states), inputs=tuple(inputs),
                       cost=cost, terminal_error=terminal_error)
-
-
-def _adjoint(inst: ProblemInstance, traj: Trajectory, lam: Array) -> list[Array]:
-    # p(N) = H x(N+1) + lambda, then backward p(k-1) = A(k)' p(k) + Q x(k)
-    N = inst.N
-    p: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    p[N] = inst.H @ traj.states[N + 1] + lam
-    for k in range(N, 0, -1):
-        p[k - 1] = inst.A[k].T @ p[k] + inst.Q @ traj.states[k]
-    return p
-
-
-def costate_sequence(inst: ProblemInstance, sched: ModelSchedule, traj: Trajectory,
-                     lam: Array) -> CostateSequence:
-    """Adjoint reconstruction along a trajectory.
-
-    p(N) = H x(N+1) + lambda, then backward p(k-1) = A(k)' p(k) + Q x(k).
-    The constraint part eta starts at eta(N) = lambda and propagates through
-    the closed loop, eta(k-1) = Ac(k)' eta(k), which equals Phi(k,N)' lambda.
-    """
-    N = inst.N
-    eta: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    eta[N] = ro(np.asarray(lam, dtype=float))
-    for k in range(N, 0, -1):
-        eta[k - 1] = ro(sched.Ac[k].T @ eta[k])
-    return CostateSequence(p=tuple(ro(v) for v in _adjoint(inst, traj, lam)), eta=tuple(eta))
-
-
-def costate_residual(inst: ProblemInstance, traj: Trajectory, lam: Array) -> float:
-    """Stationarity defect max_k || R u(k) + B(k)' p(k) ||_inf along the
-    trajectory; zero (to roundoff) exactly at the optimum."""
-    return max(float(np.abs(inst.R @ u + B.T @ p).max())
-               for u, B, p in zip(traj.inputs, inst.B, _adjoint(inst, traj, lam)))
-
-
-def evaluate_augmented_cost(inst: ProblemInstance, traj: Trajectory, lam: Array) -> float:
-    """Cost with the multiplier term attached: J + 2 lambda' x(N+1)."""
-    return traj.cost + 2.0 * float(np.asarray(lam) @ traj.states[inst.N + 1])

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CarryMissing,
-    InsufficientSamples,
-    NotReachable,
-    OracleMiss,
-    RankDeficient,
-    SingularBlock,
-)
+from .errors import InsufficientSamples, NotReachable, OracleMiss, RankDeficient, SingularBlock
 from .linalg import Array, RANK_RTOL, is_pd, min_norm_solve, range_tol, ro, sym
 from .model import ProblemInstance
 
@@ -237,22 +230,6 @@ class FitDiagnostics:
 
 
 @dataclass(frozen=True)
-class TerminalWeights:
-    """Carry for the last stage: only the terminal weight is needed."""
-
-    H: Array
-
-
-@dataclass(frozen=True)
-class StageCarry:
-    """Carry for interior stages: fitted quantities of stage k+1."""
-
-    P_next: Array
-    Phi_next: Array
-    G_next: Array
-
-
-@dataclass(frozen=True)
 class StageExtract:
     """Per-stage quantities recovered from a fitted kernel."""
 
@@ -282,26 +259,20 @@ class LearnedSchedule:
     fit_diagnostics: tuple[FitDiagnostics, ...]
 
 
-def stage_targets(ds: StageDataset, Q: Array, R: Array,
-                  carry: TerminalWeights | StageCarry | None) -> Array:
-    """Regression targets gamma for one stage.
+def stage_targets(ds: StageDataset, Q: Array, R: Array, P_next: Array,
+                  Phi_next: Array, G_next: Array) -> Array:
+    """Regression targets gamma for one stage, one Bellman target for all:
 
-    Terminal stage (TerminalWeights): gamma = x'Qx + u'Ru + x+'Hx+ + 2 x+'lam.
-    Interior stage (StageCarry): gamma = x'Qx + u'Ru + x+'P(k+1)x+ +
-    2 x+'Phi(k+1,N)'lam - lam'G(k+1)lam, built from fitted carries only.
+        gamma = x'Qx + u'Ru + x+'P(k+1)x+ + 2 x+'Phi(k+1,N)'lam - lam'G(k+1)lam
+
+    with the fitted quantities of stage k+1, or at the terminal stage the
+    boundary values P(N+1) = H, Phi(N+1,N) = I and G(N+1) = 0.
     """
-    if carry is None:
-        raise CarryMissing(f"stage {ds.k} target requested without a fitted successor")
     X, U, L, Xn = ds.X, ds.U, ds.L, ds.Xn
     gamma = np.einsum("ij,jk,ik->i", X, Q, X) + np.einsum("ij,jk,ik->i", U, R, U)
-    if isinstance(carry, TerminalWeights):
-        gamma = gamma + np.einsum("ij,jk,ik->i", Xn, carry.H, Xn)
-        gamma = gamma + 2.0 * np.einsum("ij,ij->i", Xn, L)
-    else:
-        gamma = gamma + np.einsum("ij,jk,ik->i", Xn, carry.P_next, Xn)
-        gamma = gamma + 2.0 * np.einsum("ij,ij->i", Xn @ carry.Phi_next.T, L)
-        gamma = gamma - np.einsum("ij,jk,ik->i", L, carry.G_next, L)
-    return gamma
+    gamma = gamma + np.einsum("ij,jk,ik->i", Xn, P_next, Xn)
+    gamma = gamma + 2.0 * np.einsum("ij,ij->i", Xn @ Phi_next.T, L)
+    return gamma - np.einsum("ij,jk,ik->i", L, G_next, L)
 
 
 def fit_stage(ds: StageDataset, gamma: Array) -> tuple[QMatrix, FitDiagnostics]:
@@ -354,12 +325,12 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
           dist: GaussianSpec | None, seed: int) -> LearnedSchedule:
     """Full model-free pipeline over stages N..0.
 
-    The terminal stage is fitted from terminal-cost targets; every interior
-    stage reuses the previously extracted P, Phi, G (never the plant
-    matrices). The multiplier solves the stage-0 block equation
+    Every stage is fitted from the targets of stage_targets: the terminal
+    stage from the boundary values, every interior stage from the previously
+    extracted P, Phi, G (never the plant matrices). The multiplier solves the
+    stage-0 block equation
 
-        [-L33(0) + L32(0) L22(0)^-1 L32(0)'] lambda
-            = [L31(0) - L32(0) L22(0)^-1 L21(0)] x0 - xi
+        [-L33(0) - L32(0) K1(0)] lambda = Phi(0,N) x0 - xi
 
     by the minimum-norm pseudoinverse. Raises NotReachable when that system
     is inconsistent beyond the range tolerance.
@@ -386,24 +357,21 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
 
     for k in range(N, -1, -1):
         ds = sample_stage_data(oracle, k, l, dist, seed)
-        carry = (TerminalWeights(H=H) if k == N else
-                 StageCarry(P_next=P[k + 1], Phi_next=Phi[k + 1], G_next=G[k + 1]))
-        gamma = stage_targets(ds, Q, R, carry)
-        qm, diag = fit_stage(ds, gamma)
+        # the terminal target takes H as given, not its symmetric part P(N+1):
+        # the two round differently in the targets
+        P_next = H if k == N else P[k + 1]
+        gamma = stage_targets(ds, Q, R, P_next, Phi[k + 1], G[k + 1])
+        qm, diags[k] = fit_stage(ds, gamma)
         ex = extract_stage(qm, G_next=G[k + 1])
-        qms[k], diags[k] = qm, diag
-        K[k], K1[k] = ex.K, ex.K1
+        qms[k], K[k], K1[k] = qm, ex.K, ex.K1
         P[k], Phi[k], G[k] = ex.P, ex.Phi_row, ex.G
 
     qm0 = qms[0]
-    L22 = sym(qm0.L22)
-    W32 = np.linalg.solve(L22, qm0.L32.T)
-    M = sym(-qm0.L33 + qm0.L32 @ W32)
-    Phi0 = qm0.L31 - qm0.L32 @ np.linalg.solve(L22, qm0.L21)
+    M = sym(-qm0.L33 - qm0.L32 @ K1[0])
     # rank the multiplier system against the fitted kernel magnitude: fit
     # noise in a numerically zero G(0) must not pass for invertible
     kernel_scale = float(np.abs(qm0.Lambda).max())
-    lam, resid, _ = min_norm_solve(M, Phi0 @ x0 - xi, scale=kernel_scale)
+    lam, resid, _ = min_norm_solve(M, Phi[0] @ x0 - xi, scale=kernel_scale)
     if resid > range_tol(xi):
         raise NotReachable(
             f"learned multiplier equation residual {resid:.6e} exceeds "

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from termlq import ProblemInstance, make_instance
+from termlq import make_instance
+from termlq.model import ProblemInstance
 
 
 def example_instance() -> ProblemInstance:

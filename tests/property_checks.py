@@ -8,24 +8,19 @@ import numpy as np
 
 from termlq import (
     SimulatedPlant,
-    TerminalWeights,
-    costate_residual,
     default_gaussian_spec,
-    draw_reachable_instance,
-    fit_stage,
     make_instance,
     optimal_policy,
-    pack_symmetric,
     rollout,
-    sample_stage_data,
     sample_threshold,
     solve_lambda,
     solve_schedule,
-    stage_targets,
-    unpack_symmetric,
 )
+from termlq.harness import draw_reachable_instance
+from termlq.qlearn import fit_stage, pack_symmetric, sample_stage_data, unpack_symmetric
 
-from qkernels import regressor_row
+from costates import costate_residual
+from qkernels import regressor_row, terminal_targets
 
 
 def _random_valid_instance(rng):
@@ -124,7 +119,7 @@ def check_quadratic_form_identity(cases: int, seed: int) -> int:
         ds = sample_stage_data(SimulatedPlant(inst), inst.N, l,
                                default_gaussian_spec(inst.n, inst.m),
                                seed=int(rng.integers(2 ** 63)))
-        gamma = stage_targets(ds, inst.Q, inst.R, TerminalWeights(H=inst.H))
+        gamma = terminal_targets(ds, inst)
         qm, _ = fit_stage(ds, gamma)
         for z in np.hstack([ds.X, ds.U, ds.L]):
             direct = z @ qm.Lambda @ z

@@ -1,13 +1,14 @@
 """Test-only references for the learner: the regressor row of a single
-probe and the stage kernel the fit should recover, assembled from the
-model-based schedule."""
+probe, the terminal-stage targets, and the stage kernel the fit should
+recover, assembled from the model-based schedule."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from termlq import ModelSchedule, ProblemInstance, QMatrix
 from termlq.linalg import ro, sym
+from termlq.model import ModelSchedule, ProblemInstance
+from termlq.qlearn import QMatrix, StageDataset, stage_targets
 
 
 def regressor_row(z) -> np.ndarray:
@@ -19,6 +20,13 @@ def regressor_row(z) -> np.ndarray:
     zz = np.outer(z, z)
     w = 2.0 * zz - np.diag(z * z)
     return w[np.triu_indices(d)]
+
+
+def terminal_targets(ds: StageDataset, inst: ProblemInstance) -> np.ndarray:
+    """Stage targets at the terminal boundary values P(N+1) = H,
+    Phi(N+1,N) = I and G(N+1) = 0."""
+    n = inst.n
+    return stage_targets(ds, inst.Q, inst.R, inst.H, np.eye(n), np.zeros((n, n)))
 
 
 def model_qmatrix(inst: ProblemInstance, sched: ModelSchedule, k: int) -> QMatrix:

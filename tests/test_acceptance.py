@@ -17,24 +17,20 @@ from termlq import (
     InfeasibleConstraint,
     RankDeficient,
     SimulatedPlant,
-    StageDataset,
-    TerminalWeights,
     check_reachability,
     default_gaussian_spec,
-    draw_reachable_instance,
-    fit_stage,
     kkt_oracle,
     learn,
     learned_policy,
     make_instance,
     optimal_policy,
     rollout,
-    sample_stage_data,
     sample_threshold,
     solve_lambda,
     solve_schedule,
-    stage_targets,
 )
+from termlq.harness import draw_reachable_instance
+from termlq.qlearn import StageDataset, fit_stage, sample_stage_data
 
 from golden import (
     GOLDEN_LEARN_SAMPLES,
@@ -46,6 +42,7 @@ from golden import (
     PRINTED_P,
     example_instance,
 )
+from qkernels import terminal_targets
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -173,7 +170,7 @@ def test_criterion_6_sample_threshold_is_sharp():
         l = sample_threshold(n, m)
         ds = sample_stage_data(SimulatedPlant(inst), N, l,
                                default_gaussian_spec(n, m), seed=trial)
-        targets = stage_targets(ds, inst.Q, inst.R, TerminalWeights(H=inst.H))
+        targets = terminal_targets(ds, inst)
         short = StageDataset(N, ds.X[:l - 1], ds.U[:l - 1], ds.L[:l - 1], ds.Xn[:l - 1])
         try:
             fit_stage(short, targets[:l - 1])

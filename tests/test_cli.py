@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import termlq
-from termlq import SimulatedPlant, default_gaussian_spec, sample_stage_data
+from termlq import SimulatedPlant, default_gaussian_spec
+from termlq.qlearn import sample_stage_data
 from termlq.cli import main
-from termlq.fileio import write_replay_log
 
 from golden import EXACT_LAMBDA, FIXTURE_HASH, PRINTED_NU, example_instance
+from replay_logs import write_replay_log
 
 
 def run_cli(argv, capsys):
@@ -243,6 +244,41 @@ class TestExitStatuses:
         assert code == 2
         assert "seed is required" in err
         assert json.loads(out)["error"]["code"] == "ValidationError"
+
+    def test_non_finite_state_exits_2(self, tmp_path, capsys):
+        doc = {"n": 1, "m": 1, "N": 1, "A": [[[1e10]], [[1e10]]],
+               "B": [[[1.0]], [[1.0]]], "Q": [[1.0]], "R": [[1.0]], "H": [[1.0]],
+               "x0": [1e300], "xi": [0.0]}
+        p = write_doc(tmp_path, "overflow.json", doc)
+        out_path = tmp_path / "fail.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(["solve", "--instance", p, "--out", out_path], capsys)
+        assert code == 2
+        assert "non-finite" in err
+        assert json.loads(out_path.read_text())["error"]["code"] == "NonFiniteState"
+
+    def test_non_finite_cost_exits_2(self, tmp_path, capsys):
+        # every state is finite, but the cost overflows to inf
+        doc = {"n": 1, "m": 1, "N": 1, "A": [[[10.0]], [[10.0]]],
+               "B": [[[1.0]], [[1.0]]], "Q": [[1.0]], "R": [[1.0]], "H": [[1.0]],
+               "x0": [1e307], "xi": [0.0]}
+        p = write_doc(tmp_path, "costly.json", doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, _ = run_cli(["solve", "--instance", p], capsys)
+        assert code == 2
+        failure = json.loads(out)
+        assert failure["error"]["code"] == "NonFiniteState"
+        assert "cost" in failure["error"]["message"]
+
+    def test_unwritable_out_exits_5(self, fixture_file, tmp_path, capsys):
+        out_path = tmp_path / "absent_dir" / "solve.json"
+        code, out, err = run_cli(
+            ["solve", "--instance", fixture_file, "--out", out_path], capsys)
+        assert code == 5
+        assert "cannot write" in err
+        # the failure report falls back to stdout
+        assert json.loads(out)["error"]["code"] == "IoError"
+        assert not out_path.parent.exists()
 
     def test_failure_report_written_to_out(self, tmp_path, capsys):
         p = write_doc(tmp_path, "stuck.json", unreachable_doc())

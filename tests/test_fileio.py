@@ -12,27 +12,23 @@ import termlq.cli
 from termlq import (
     IoError,
     ParseError,
-    ReplayLog,
     SimulatedPlant,
-    StageDataset,
     ValidationError,
     default_gaussian_spec,
     make_instance,
-    sample_stage_data,
 )
 from termlq.fileio import (
     dumps_report,
     instance_hash,
-    load_instance,
     load_instance_file,
     read_replay_log,
-    read_report,
     write_report,
-    write_replay_log,
 )
+from termlq.qlearn import ReplayLog, StageDataset, sample_stage_data
 
 from golden import FIXTURE_HASH, example_instance
 from reference_report import reference_dumps_report
+from replay_logs import write_replay_log
 
 
 class TestLoadInstance:
@@ -53,7 +49,7 @@ class TestLoadInstance:
         assert doc.learn.covariance_scale == 1.0
 
     def test_load_instance_drops_learn_block(self, fixture_file):
-        inst = load_instance(fixture_file)
+        inst = load_instance_file(fixture_file).instance
         np.testing.assert_array_equal(inst.xi, [6.0, 7.0])
 
     def test_short_matrix_list_names_key(self, fixture_file, tmp_path):
@@ -141,7 +137,7 @@ class TestReports:
         }
         p = tmp_path / "r.json"
         write_report(report, p)
-        back = read_report(p)
+        back = json.loads(p.read_text())
         assert back["name"] == "solve"
         assert back["count"] == 3
         assert back["ok"] is True

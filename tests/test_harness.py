@@ -13,9 +13,7 @@ from termlq import (
     RankDeficient,
     SimulatedPlant,
     ValidationError,
-    costate_residual,
     default_gaussian_spec,
-    draw_reachable_instance,
     kkt_oracle,
     learn,
     make_instance,
@@ -28,7 +26,9 @@ from termlq import (
     verify_solution,
 )
 from termlq import harness
+from termlq.harness import draw_reachable_instance
 
+from costates import costate_residual
 from golden import example_instance
 
 

@@ -15,24 +15,19 @@ import pytest
 from termlq import (
     NonFiniteState,
     NotReachable,
-    ProblemInstance,
     SingularGamma,
     StageOutOfRange,
     check_reachability,
-    costate_residual,
-    costate_sequence,
-    evaluate_augmented_cost,
     make_instance,
-    optimal_control,
     optimal_policy,
-    riccati_backward,
     rollout,
     solve_lambda,
     solve_schedule,
-    validate_instance,
 )
 from termlq.linalg import range_tol
+from termlq.model import ProblemInstance, riccati_backward, validate_instance
 
+from costates import costate_residual, costate_sequence, evaluate_augmented_cost
 from golden import (
     EXACT_COST,
     EXACT_G2,
@@ -290,24 +285,24 @@ class TestControlAndRollout:
         inst = scalar_instance(x0=2.0, xi=5.0)
         sched = solve_schedule(inst)
         lamsol = solve_lambda(sched, inst)
-        u0 = optimal_control(sched, lamsol.lambda_star, 0, inst.x0)
+        u0 = optimal_policy(sched, lamsol.lambda_star)(0, inst.x0)
         assert u0[0] == pytest.approx(5.0 - 2.0)
         traj = rollout(inst, optimal_policy(sched, lamsol.lambda_star))
         assert traj.states[1][0] == pytest.approx(5.0)
 
     def test_zero_lambda_is_plain_feedback(self, example, example_schedule):
         x = np.array([0.3, -1.2])
-        u = optimal_control(example_schedule, np.zeros(2), 1, x)
+        u = optimal_policy(example_schedule, np.zeros(2))(1, x)
         npt.assert_allclose(u, example_schedule.K[1] @ x, rtol=1e-15)
 
     def test_stage_two_printed_arithmetic(self, example_schedule, example_lambda):
-        u = optimal_control(example_schedule, example_lambda.lambda_star, 2,
-                            np.array([1.0, 0.0]))
+        u = optimal_policy(example_schedule, example_lambda.lambda_star)(
+            2, np.array([1.0, 0.0]))
         assert u[0] == pytest.approx(2.5912, abs=5e-4)
 
     def test_stage_out_of_range(self, example_schedule):
         with pytest.raises(StageOutOfRange):
-            optimal_control(example_schedule, np.zeros(2), 3, np.zeros(2))
+            optimal_policy(example_schedule, np.zeros(2))(3, np.zeros(2))
 
     def test_example_terminal_exactness(self, example, example_schedule, example_lambda):
         traj = rollout(example, optimal_policy(example_schedule,
@@ -352,8 +347,8 @@ class TestCostate:
         inst = scalar_instance(x0=2.0, xi=5.0)
         sched = solve_schedule(inst)
         lamsol = solve_lambda(sched, inst)
-        traj = rollout(inst, lambda k, x: optimal_control(
-            sched, lamsol.lambda_star, k, x) + 0.1)
+        policy = optimal_policy(sched, lamsol.lambda_star)
+        traj = rollout(inst, lambda k, x: policy(k, x) + 0.1)
         assert costate_residual(inst, traj, lamsol.lambda_star) == pytest.approx(0.1)
 
     def test_sequence_boundary_and_recursion(self, example, example_schedule, example_lambda):

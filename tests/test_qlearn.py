@@ -9,31 +9,30 @@ import numpy.testing as npt
 import pytest
 
 from termlq import (
-    CarryMissing,
     InsufficientSamples,
     OracleMiss,
-    QMatrix,
     RankDeficient,
-    ReplayLog,
     SimulatedPlant,
     SingularBlock,
-    StageCarry,
-    StageDataset,
-    TerminalWeights,
     default_gaussian_spec,
-    draw_reachable_instance,
-    extract_stage,
-    fit_stage,
     learn,
     learned_policy,
     make_instance,
-    pack_symmetric,
-    regressor_matrix,
     rollout,
-    sample_stage_data,
     sample_threshold,
     solve_lambda,
     solve_schedule,
+)
+from termlq.harness import draw_reachable_instance
+from termlq.qlearn import (
+    QMatrix,
+    ReplayLog,
+    StageDataset,
+    extract_stage,
+    fit_stage,
+    pack_symmetric,
+    regressor_matrix,
+    sample_stage_data,
     stage_targets,
     unpack_symmetric,
 )
@@ -47,7 +46,7 @@ from golden import (
     PRINTED_NU,
     PRINTED_P,
 )
-from qkernels import model_qmatrix, regressor_row
+from qkernels import model_qmatrix, regressor_row, terminal_targets
 
 DIST2 = default_gaussian_spec(2, 1)
 
@@ -160,12 +159,12 @@ class TestTargets:
         # x=(1,0), u=0, lam=0: x+ = A(2)x = (-4,2), gamma = 1 + 0 + 20 + 0
         ds = repeated(2, np.array([1.0, 0.0]), np.zeros(1), np.zeros(2),
                       example.A[2] @ np.array([1.0, 0.0]))
-        gamma = stage_targets(ds, example.Q, example.R, TerminalWeights(H=example.H))
+        gamma = terminal_targets(ds, example)
         assert gamma[0] == pytest.approx(21.0)
 
     def test_zero_sample_gives_zero(self, example):
         ds = repeated(2, np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2))
-        gamma = stage_targets(ds, example.Q, example.R, TerminalWeights(H=example.H))
+        gamma = terminal_targets(ds, example)
         npt.assert_array_equal(gamma, np.zeros(15))
 
     def test_zero_lambda_interior_reduces_to_lq_target(self, example, example_schedule):
@@ -174,25 +173,18 @@ class TestTargets:
         u = rng.standard_normal(1)
         x_next = example.A[1] @ x + example.B[1] @ u
         ds = repeated(1, x, u, np.zeros(2), x_next)
-        carry = StageCarry(P_next=example_schedule.P[2],
-                           Phi_next=example_schedule.Phi[2],
-                           G_next=example_schedule.G[2])
-        gamma = stage_targets(ds, example.Q, example.R, carry)
+        gamma = stage_targets(ds, example.Q, example.R, example_schedule.P[2],
+                              example_schedule.Phi[2], example_schedule.G[2])
         expected = (x @ example.Q @ x + u @ example.R @ u
                     + x_next @ example_schedule.P[2] @ x_next)
         assert gamma[0] == pytest.approx(expected, rel=1e-13)
-
-    def test_missing_carry_refused(self, example):
-        ds = repeated(1, np.zeros(2), np.zeros(1), np.zeros(2), np.zeros(2))
-        with pytest.raises(CarryMissing):
-            stage_targets(ds, example.Q, example.R, None)
 
 
 class TestFitStage:
     def test_example_terminal_kernel(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 2, GOLDEN_LEARN_SAMPLES,
                                DIST2, seed=GOLDEN_LEARN_SEED)
-        gamma = stage_targets(ds, example.Q, example.R, TerminalWeights(H=example.H))
+        gamma = terminal_targets(ds, example)
         qm, diag = fit_stage(ds, gamma)
         npt.assert_allclose(qm.nu, PRINTED_NU[2], atol=1e-6)
         assert diag.residual <= 1e-8
@@ -215,14 +207,14 @@ class TestFitStage:
     def test_duplicate_rows_lose_rank(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 0, 15, DIST2, seed=4)
         dup = rows(ds, list(range(14)) + [0])
-        gamma = stage_targets(dup, example.Q, example.R, TerminalWeights(H=example.H))
+        gamma = terminal_targets(dup, example)
         with pytest.raises(RankDeficient) as err:
             fit_stage(dup, gamma)
         assert err.value.rank == 14
 
     def test_order_invariance(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 2, 25, DIST2, seed=6)
-        gamma = stage_targets(ds, example.Q, example.R, TerminalWeights(H=example.H))
+        gamma = terminal_targets(ds, example)
         qm, _ = fit_stage(ds, gamma)
         perm = np.random.default_rng(7).permutation(25)
         shuffled = rows(ds, perm)
@@ -311,8 +303,23 @@ class TestLearn:
             npt.assert_allclose(shifted.K[k], base.K[k], atol=1e-8)
             npt.assert_allclose(shifted.P[k], base.P[k], atol=1e-8)
 
+    def test_terminal_stage_uses_h_as_given(self, example):
+        # H asymmetric within the validation tolerance: the terminal fit
+        # takes H itself, not its symmetric part P(N+1), bit for bit
+        H = example.H.copy()
+        H[0, 1] += 1e-13
+        inst = make_instance(example.A, example.B, example.Q, example.R, H,
+                             example.x0, example.xi)
+        ls = example_learned(inst)
+        ds = sample_stage_data(SimulatedPlant(inst), inst.N, GOLDEN_LEARN_SAMPLES,
+                               DIST2, seed=GOLDEN_LEARN_SEED)
+        qm, diag = fit_stage(ds, terminal_targets(ds, inst))
+        npt.assert_array_equal(ls.qmatrices[inst.N].Lambda, qm.Lambda)
+        assert ls.fit_diagnostics[inst.N].residual == diag.residual
+        npt.assert_array_equal(ls.P[inst.N + 1], (H + H.T) / 2.0)
+
     def test_unreachable_target_raises(self, example):
-        from termlq import NotReachable, make_instance
+        from termlq import NotReachable
         B0 = [np.zeros((2, 1))] * 3
         inst = make_instance(example.A, B0, example.Q, example.R, example.H,
                              example.x0, example.xi)
