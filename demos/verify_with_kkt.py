@@ -1,8 +1,9 @@
-"""Certify a solution against the stacked quadratic-program oracle.
+"""Certify a solution against the sparse-form quadratic-program oracle.
 
-The oracle eliminates states by forward substitution and solves one KKT
-linear system over the stacked inputs. It shares no code with the backward
-recursion, so agreement certifies both paths.
+The oracle keeps inputs, states and dynamics multipliers as variables and
+solves the whole KKT system by one forward block-tridiagonal sweep. It
+shares no code with the backward recursion, so agreement of cost, inputs
+and costates certifies both paths.
 """
 
 import numpy as np
@@ -49,6 +50,8 @@ print("\nthree-way comparison")
 print(f"  max gain error (learned vs model): {report.max_gain_error:.3e}")
 print(f"  multiplier error:                  {report.lambda_error:.3e}")
 print(f"  cost gap vs oracle (relative):     {report.cost_gap:.3e}")
+print(f"  input gap vs oracle (relative):    {report.input_gap:.3e}")
+print(f"  costate gap vs oracle (relative):  {report.costate_gap:.3e}")
 print(f"  terminal misses (model, learned):  "
       f"{report.terminal_errors[0]:.3e}, {report.terminal_errors[1]:.3e}")
 

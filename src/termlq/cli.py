@@ -156,6 +156,8 @@ def _cmd_verify(args) -> dict:
         "max_gain_error": comparison.max_gain_error,
         "lambda_error": comparison.lambda_error,
         "cost_gap": comparison.cost_gap,
+        "input_gap": comparison.input_gap,
+        "costate_gap": comparison.costate_gap,
         "terminal_errors": list(comparison.terminal_errors),
         "per_stage_condition": list(comparison.per_stage_condition),
         "kkt_cost": comparison.oracle.cost,

@@ -1,10 +1,12 @@
-"""Independent verification: a stacked KKT quadratic-program oracle, solution
-comparison, and Monte Carlo campaigns over random instances.
+"""Independent verification: a sparse-form KKT quadratic-program oracle,
+solution comparison, and Monte Carlo campaigns over random instances.
 
-The oracle never touches the Riccati machinery. It eliminates states by
-forward substitution, writes the cost as a dense quadratic in the stacked
-input vector, and solves the equality-constrained program by one KKT linear
-system. Agreement between the two paths certifies both.
+The oracle never touches the Riccati machinery. It keeps the inputs, the
+states and the dynamics multipliers as variables, writes the dynamics and
+the terminal constraint as equality rows, and solves the whole KKT system
+by one generic forward block-tridiagonal sweep, at a cost linear in N.
+Agreement of cost, inputs and costates between the two paths certifies
+both.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConstraint, SingularKkt, TermLqError, ValidationError
-from .linalg import Array, range_tol, rank_cutoff, ro, sym
+from .linalg import Array, block_tridiagonal_solve, min_norm_solve, range_tol, ro, sym
 from .model import (
     LambdaSolution,
     ModelSchedule,
     ProblemInstance,
     Trajectory,
     check_reachability,
-    drift_product,
     make_instance,
     optimal_policy,
     require_valid,
@@ -41,27 +42,33 @@ from .qlearn import (
 
 @dataclass(frozen=True)
 class KktSolution:
-    """Stacked optimum: inputs u(0)..u(N) concatenated, the terminal
-    constraint multiplier, the optimal cost, and the max KKT residual
-    (stationarity and constraint, infinity norm)."""
+    """Sparse-form optimum: inputs u(0)..u(N) concatenated, the terminal
+    constraint multiplier, the optimal cost, the max KKT residual over every
+    row (infinity norm), and the costates p(0)..p(N), one row per stage."""
 
     u_stacked: Array
     multiplier: Array
     cost: float
     kkt_residual: float
+    costates: Array
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Cross-path error summary. terminal_errors holds (model, learned)
-    rollout misses; with no learned schedule the learned slots collapse to
-    the model values and per_stage_condition is empty. model_trajectory and
-    oracle are the model rollout and the KKT solution the summary compares,
-    so callers need not recompute them."""
+    """Cross-path error summary. cost_gap, input_gap and costate_gap compare
+    the model rollout with the oracle, each relative to max(1, the largest
+    magnitude of the oracle cost, the model inputs or the closed-loop
+    costates P(k+1) x(k+1) + Phi(k+1,N)' lambda*). terminal_errors holds
+    (model, learned) rollout misses; with no learned schedule the learned
+    slots collapse to the model values and per_stage_condition is empty.
+    model_trajectory and oracle are the model rollout and the KKT solution
+    the summary compares, so callers need not recompute them."""
 
     max_gain_error: float
     lambda_error: float
     cost_gap: float
+    input_gap: float
+    costate_gap: float
     terminal_errors: tuple[float, float]
     per_stage_condition: tuple[float, ...]
     model_trajectory: Trajectory
@@ -100,97 +107,105 @@ class CampaignSummary:
     terminal_error: ErrorStats
 
 
-def stacked_operators(inst: ProblemInstance) -> tuple[list[Array], list[Array]]:
-    """Forward-substitution maps: x(k) = C(k) u_stacked + D(k) x0.
-
-    C(k) is n x m(N+1) with block j equal to A(k-1)...A(j+1) B(j) for j < k;
-    D(k) is the pure drift product. Index k runs 0..N+1.
-    """
-    N, n, m = inst.N, inst.n, inst.m
-    width = m * (N + 1)
-    C = [np.zeros((n, width)) for _ in range(N + 2)]
-    D = [drift_product(inst, 0, k) for k in range(N + 2)]
-    for k in range(1, N + 2):
-        for j in range(k):
-            C[k][:, j * m:(j + 1) * m] = drift_product(inst, j + 1, k) @ inst.B[j]
-    return C, D
-
-
 def kkt_oracle(inst: ProblemInstance) -> KktSolution:
-    """Equality-constrained QP solve over the stacked input vector.
+    """Sparse-form equality-constrained QP solve: the states stay variables
+    and the dynamics are equality rows, so no drift product is ever formed.
 
-    Cost: u'H0 u + 2 c0'u + J0 after eliminating states; constraint:
-    C u = xi - D x0 with C, D the stage-(N+1) stacked operators. Feasibility
-    is decided here from the constraint block itself: the target offset must
-    lie in the range of C within the shared range tolerance. The Gramian test
-    in check_reachability decides membership in the same subspace through a
-    different matrix, so the two verdicts cross-validate each other. The
-    constraint block is row-compressed by singular value decomposition, which
-    handles rank-deficient constraints; the multiplier returns in the
-    original constraint coordinates.
+    Stage k holds z(k) = [u(k), p(k), x(k+1)], where p(k) multiplies the
+    dynamics row of stage k, and the terminal row borders the last stage
+    with the multiplier mu. The KKT rows are
+
+        R u(k) + B(k)' p(k) = 0
+        B(k) u(k) - x(k+1) = -A(k) x(k)
+        Q x(k+1) - p(k) + A(k+1)' p(k+1) = 0      (k < N)
+        H x(N+1) - p(N) + mu = 0,   x(N+1) = xi
+
+    so p(0..N) are the costates and mu is the terminal multiplier. The
+    stage blocks form a block-tridiagonal system, solved by one forward
+    block sweep (linalg.block_tridiagonal_solve) for mu = 0 and for mu's
+    unit columns together, at a cost linear in N; the dense KKT matrix is
+    never formed. The border reduces to the n x n terminal Schur complement
+    Sigma: Sigma mu = x_free - xi, where x_free is the terminal state at
+    mu = 0. Feasibility is decided there: the minimum-norm solve must leave
+    a residual within the shared range tolerance, else InfeasibleConstraint.
+    The Gramian test in check_reachability decides membership in the same
+    subspace through a different matrix, so the two verdicts cross-validate
+    each other. The minimum-norm mu has no part in unreachable directions.
+    kkt_residual is the max over every KKT row (both stationarity rows, the
+    dynamics rows and the terminal row) of the absolute defect.
     """
     require_valid(inst)
     N, n, m = inst.N, inst.n, inst.m
-    width = m * (N + 1)
-    C, D = stacked_operators(inst)
-    H0 = np.zeros((width, width))
-    c0 = np.zeros(width)
-    J0 = 0.0
-    for k in range(N + 1):
-        dk = D[k] @ inst.x0
-        H0 += C[k].T @ inst.Q @ C[k]
-        c0 += C[k].T @ inst.Q @ dk
-        J0 += float(dk @ inst.Q @ dk)
-        H0[k * m:(k + 1) * m, k * m:(k + 1) * m] += inst.R
-    dT = D[N + 1] @ inst.x0
-    H0 += C[N + 1].T @ inst.H @ C[N + 1]
-    c0 += C[N + 1].T @ inst.H @ dT
-    J0 += float(dT @ inst.H @ dT)
-    H0 = sym(H0)
+    s = m + 2 * n
+    iu, ip, ix = slice(0, m), slice(m, m + n), slice(m + n, s)
+    A, B = np.stack(inst.A), np.stack(inst.B)
+    Q, R, H = sym(inst.Q), sym(inst.R), sym(inst.H)
+    eye = np.eye(n)
+    diag = np.zeros((N + 1, s, s))
+    diag[:, iu, iu] = R
+    diag[:, iu, ip] = np.swapaxes(B, 1, 2)
+    diag[:, ip, iu] = B
+    diag[:, ip, ix] = -eye
+    diag[:, ix, ip] = -eye
+    diag[:-1, ix, ix] = Q
+    diag[-1, ix, ix] = H
+    sub = np.zeros((N, s, s))
+    sub[:, ip, ix] = A[1:]
+    # column 0 is the system at mu = 0, columns 1..n are mu's unit columns
+    rhs = np.zeros((N + 1, s, 1 + n))
+    rhs[0, ip, 0] = -(A[0] @ inst.x0)
+    rhs[-1, ix, 1:] = eye
+    try:
+        Z = block_tridiagonal_solve(diag, sub, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularKkt(f"KKT system singular: {exc}") from exc
 
-    Cterm = C[N + 1]
-    b = inst.xi - dT
-    U, s, Vt = np.linalg.svd(Cterm, full_matrices=False)
-    r = int((s > rank_cutoff(Cterm, s)).sum())
-    out_of_range = b - U[:, :r] @ (U[:, :r].T @ b) if r else b
-    miss = float(np.linalg.norm(out_of_range))
+    Sigma = sym(Z[-1, ix, 1:])
+    mu, miss, _ = min_norm_solve(Sigma, Z[-1, ix, 0] - inst.xi)
     if miss > range_tol(inst.xi):
         raise InfeasibleConstraint(
             f"terminal constraint inconsistent: range residual {miss:.6e} "
             f"exceeds tolerance {range_tol(inst.xi):.6e}")
-    try:
-        if r:
-            Cr = s[:r, None] * Vt[:r]
-            KKT = np.block([[H0, Cr.T], [Cr, np.zeros((r, r))]])
-            sol = np.linalg.solve(KKT, np.concatenate([-c0, U[:, :r].T @ b]))
-            u, mu = sol[:width], U[:, :r] @ sol[width:]
-        else:
-            u = np.linalg.solve(H0, -c0)
-            mu = np.zeros(n)
-    except np.linalg.LinAlgError as exc:
-        raise SingularKkt(f"KKT system singular with a feasible constraint: {exc}") from exc
-    if not (np.isfinite(u).all() and np.isfinite(mu).all()):
+    z = Z[:, :, 0] - Z[:, :, 1:] @ mu
+    if not (np.isfinite(z).all() and np.isfinite(mu).all()):
         raise SingularKkt("KKT solve produced non-finite entries")
 
-    cost = float(u @ H0 @ u + 2.0 * c0 @ u + J0)
-    stat = float(np.abs(H0 @ u + Cterm.T @ mu + c0).max())
-    feas = float(np.abs(Cterm @ u - b).max()) if r else 0.0
-    return KktSolution(u_stacked=ro(u), multiplier=ro(mu), cost=cost,
-                       kkt_residual=max(stat, feas))
+    rows = np.einsum("kij,kj->ki", diag, z) - rhs[:, :, 0]
+    rows[1:] += np.einsum("kij,kj->ki", sub, z[:-1])
+    rows[:-1] += np.einsum("kji,kj->ki", sub, z[1:])
+    rows[-1, ix] += mu
+    U = z[:, iu]
+    X = np.vstack([inst.x0, z[:, ix]])
+    cost = float(np.sum((X[:-1] @ Q) * X[:-1]) + np.sum((U @ R) * U) + X[-1] @ H @ X[-1])
+    resid = max(float(np.abs(rows).max()), float(np.abs(X[-1] - inst.xi).max()))
+    return KktSolution(u_stacked=ro(U.reshape(-1)), multiplier=ro(mu), cost=cost,
+                       kkt_residual=resid, costates=ro(z[:, ip]))
+
+
+def _relative_gap(value: Array, reference: Array) -> float:
+    # max entrywise gap over max(1, the reference's largest magnitude)
+    return float(np.abs(value - reference).max()) / max(1.0, float(np.abs(reference).max()))
 
 
 def verify_solution(inst: ProblemInstance, sched: ModelSchedule, lamsol: LambdaSolution,
                     learned: LearnedSchedule | None = None) -> ComparisonReport:
     """Roll out the model-based controller (and the learned one when given),
-    compare gains and multipliers entrywise, and check the rollout cost
-    against the independent oracle."""
-    model_traj = rollout(inst, optimal_policy(sched, lamsol.lambda_star))
+    compare gains and multipliers entrywise, and check the rollout cost,
+    inputs and closed-loop costates against the independent oracle."""
+    lam = lamsol.lambda_star
+    model_traj = rollout(inst, optimal_policy(sched, lam))
     oracle = kkt_oracle(inst)
     cost_gap = abs(model_traj.cost - oracle.cost) / max(1.0, abs(oracle.cost))
+    U = np.array(model_traj.inputs)
+    X = np.array(model_traj.states[1:])
+    costates = (np.einsum("kij,kj->ki", np.stack(sched.P[1:]), X)
+                + np.einsum("kji,j->ki", np.stack(sched.Phi[1:]), lam))
+    gaps = dict(cost_gap=float(cost_gap),
+                input_gap=_relative_gap(oracle.u_stacked.reshape(U.shape), U),
+                costate_gap=_relative_gap(oracle.costates, costates))
 
     if learned is None:
-        return ComparisonReport(max_gain_error=0.0, lambda_error=0.0,
-                                cost_gap=float(cost_gap),
+        return ComparisonReport(max_gain_error=0.0, lambda_error=0.0, **gaps,
                                 terminal_errors=(model_traj.terminal_error,
                                                  model_traj.terminal_error),
                                 per_stage_condition=(), model_trajectory=model_traj,
@@ -208,7 +223,7 @@ def verify_solution(inst: ProblemInstance, sched: ModelSchedule, lamsol: LambdaS
     return ComparisonReport(
         max_gain_error=gain_err,
         lambda_error=lam_err,
-        cost_gap=float(cost_gap),
+        **gaps,
         terminal_errors=(model_traj.terminal_error, learned_traj.terminal_error),
         per_stage_condition=tuple(d.cond for d in learned.fit_diagnostics),
         model_trajectory=model_traj, oracle=oracle)

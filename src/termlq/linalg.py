@@ -1,5 +1,5 @@
 """Small shared numerical kernels: symmetry, definiteness tests with scaled
-tolerances, and minimum-norm linear solves."""
+tolerances, minimum-norm linear solves, and a block-tridiagonal solve."""
 
 from __future__ import annotations
 
@@ -77,6 +77,34 @@ def min_norm_solve(M: Array, rhs: Array, scale: float = 0.0) -> tuple[Array, flo
     y = Vt.T @ coeff
     resid = float(np.linalg.norm(M @ y - rhs))
     return y, resid, rank
+
+
+def block_tridiagonal_solve(diag: Array, sub: Array, rhs: Array) -> Array:
+    """Solve T z = rhs for a block-tridiagonal T whose upper blocks are the
+    transposes of its lower ones, by one forward block elimination.
+
+    diag (K, s, s) holds the diagonal blocks T(k,k), sub (K-1, s, s) the
+    blocks T(k+1,k) below them, and rhs (K, s, r) the right-hand sides;
+    returns z with the shape of rhs. The sweep runs k = 0..K-1: each Schur
+    complement S(k) = T(k,k) - T(k,k-1) W(k-1) is solved once against
+    [T(k,k+1), y(k)], and back-substitution reuses those stored solves W(k).
+    Raises numpy.linalg.LinAlgError when some S(k) is singular.
+    """
+    K, s, _ = diag.shape
+    right = np.zeros((K, s, s + rhs.shape[2]))
+    right[:-1, :, :s] = np.swapaxes(sub, 1, 2)
+    right[:, :, s:] = rhs
+    W = np.empty_like(right)
+    W[0] = np.linalg.solve(diag[0], right[0])
+    for k in range(1, K):
+        carry = sub[k - 1] @ W[k - 1]
+        right[k, :, s:] -= carry[:, s:]
+        W[k] = np.linalg.solve(diag[k] - carry[:, :s], right[k])
+    z = np.empty_like(rhs, dtype=float)
+    z[-1] = W[-1, :, s:]
+    for k in range(K - 2, -1, -1):
+        z[k] = W[k, :, s:] - W[k, :, :s] @ z[k + 1]
+    return z
 
 
 def range_tol(xi: Array) -> float:

@@ -318,15 +318,17 @@ def rollout(inst: ProblemInstance, policy: Callable[[int, Array], Array]) -> Tra
     states = [ro(x)]
     inputs: list[Array] = []
     cost = 0.0
-    for k in range(inst.N + 1):
-        u = np.atleast_1d(np.asarray(policy(k, x), dtype=float))
-        cost += float(x @ inst.Q @ x + u @ inst.R @ u)
-        x = inst.A[k] @ x + inst.B[k] @ u
-        if not np.isfinite(x).all():
-            raise NonFiniteState(f"state at stage {k + 1} is non-finite")
-        inputs.append(ro(u))
-        states.append(ro(x))
-    cost += float(x @ inst.H @ x)
+    # an overflow is reported as NonFiniteState, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(inst.N + 1):
+            u = np.atleast_1d(np.asarray(policy(k, x), dtype=float))
+            cost += float(x @ inst.Q @ x + u @ inst.R @ u)
+            x = inst.A[k] @ x + inst.B[k] @ u
+            if not np.isfinite(x).all():
+                raise NonFiniteState(f"state at stage {k + 1} is non-finite")
+            inputs.append(ro(u))
+            states.append(ro(x))
+        cost += float(x @ inst.H @ x)
     if not np.isfinite(cost):
         raise NonFiniteState("rollout cost is non-finite")
     terminal_error = float(np.abs(x - inst.xi).max())

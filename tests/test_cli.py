@@ -26,6 +26,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def child_stderr(argv):
+    # a child process, so numpy warnings reach a real stderr uncaught
+    proc = subprocess.run([sys.executable, "-m", "termlq", *map(str, argv)],
+                          capture_output=True, text=True, env=checkout_env())
+    return proc.stderr.splitlines()
+
+
 def write_doc(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -251,11 +258,13 @@ class TestExitStatuses:
                "x0": [1e300], "xi": [0.0]}
         p = write_doc(tmp_path, "overflow.json", doc)
         out_path = tmp_path / "fail.json"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, _, err = run_cli(["solve", "--instance", p, "--out", out_path], capsys)
+        code, _, err = run_cli(["solve", "--instance", p, "--out", out_path], capsys)
         assert code == 2
         assert "non-finite" in err
         assert json.loads(out_path.read_text())["error"]["code"] == "NonFiniteState"
+        # no numpy overflow warnings ahead of the one failure line
+        assert child_stderr(["solve", "--instance", p]) == [
+            "termlq solve: state at stage 1 is non-finite"]
 
     def test_non_finite_cost_exits_2(self, tmp_path, capsys):
         # every state is finite, but the cost overflows to inf
@@ -263,12 +272,14 @@ class TestExitStatuses:
                "B": [[[1.0]], [[1.0]]], "Q": [[1.0]], "R": [[1.0]], "H": [[1.0]],
                "x0": [1e307], "xi": [0.0]}
         p = write_doc(tmp_path, "costly.json", doc)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, _ = run_cli(["solve", "--instance", p], capsys)
+        code, out, _ = run_cli(["solve", "--instance", p], capsys)
         assert code == 2
         failure = json.loads(out)
         assert failure["error"]["code"] == "NonFiniteState"
         assert "cost" in failure["error"]["message"]
+        for command in (["solve"], ["learn", "--seed", "1"], ["verify", "--seed", "1"]):
+            assert child_stderr([*command, "--instance", p]) == [
+                f"termlq {command[0]}: rollout cost is non-finite"]
 
     def test_unwritable_out_exits_5(self, fixture_file, tmp_path, capsys):
         out_path = tmp_path / "absent_dir" / "solve.json"
