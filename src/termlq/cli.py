@@ -8,7 +8,8 @@ byte-deterministic JSON; exit status encodes the failure class, the
 
     0  success
     2  validation failure (bad instance data, missing seed, singular blocks,
-       a non-finite rollout state or cost)
+       a non-finite rollout state or cost, reachability products that
+       overflow)
     3  terminal target not reachable / constraint infeasible
     4  rank-deficient or insufficient data
     5  I/O or parse error, an unwritable --out included

@@ -254,31 +254,33 @@ def solve_schedule(inst: ProblemInstance) -> ModelSchedule:
     return build_schedule(inst, P, Gamma, K)
 
 
-def drift_product(inst: ProblemInstance, j: int, k: int) -> Array:
-    """Open-loop transition A(k-1) ... A(j) mapping x(j) to x(k); I if j = k."""
-    M = np.eye(inst.n)
-    for i in range(j, k):
-        M = inst.A[i] @ M
-    return M
-
-
 def check_reachability(inst: ProblemInstance) -> ReachabilityResult:
     """Gramian test: xi is attainable from x0 iff xi minus the pure drift
     terminal state lies in the range of
 
-        G1 = sum_k [A(N)...A(k+1)] B(k) B(k)' [A(N)...A(k+1)]'
+        G1 = sum_k T(k) T(k)',   T(k) = [A(N)...A(k+1)] B(k)
 
     decided by the residual of a minimum-norm solve against the relative
     range tolerance. Returns the minimum-norm certificate zeta when
     reachable.
+
+    One backward sweep over k = N..0 carries M = A(N)...A(k+1): T(k) = M B(k)
+    fills a column block of C = [T(0) ... T(N)], then M <- M A(k). So
+    G1 = C C', the final M is the full drift A(N)...A(0), and the cost is
+    linear in N. Raises NonFiniteState when the products overflow.
     """
-    N = inst.N
-    G1 = np.zeros((inst.n, inst.n))
-    for k in range(N + 1):
-        T = drift_product(inst, k + 1, N + 1) @ inst.B[k]
-        G1 += T @ T.T
-    G1 = sym(G1)
-    rhs = inst.xi - drift_product(inst, 0, N + 1) @ inst.x0
+    N, n, m = inst.N, inst.n, inst.m
+    C = np.empty((n, m * (N + 1)))
+    M = np.eye(n)
+    # an overflow is reported as NonFiniteState, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N, -1, -1):
+            C[:, k * m:(k + 1) * m] = M @ inst.B[k]
+            M = M @ inst.A[k]
+        G1 = sym(C @ C.T)
+        rhs = inst.xi - M @ inst.x0
+    if not (np.isfinite(G1).all() and np.isfinite(rhs).all()):
+        raise NonFiniteState(f"reachability Gramian or drift term is non-finite at N={N}")
     zeta, resid, _ = min_norm_solve(G1, rhs)
     reachable = resid <= range_tol(inst.xi)
     return ReachabilityResult(reachable=reachable, G1=ro(G1),

@@ -281,6 +281,25 @@ class TestExitStatuses:
             assert child_stderr([*command, "--instance", p]) == [
                 f"termlq {command[0]}: rollout cost is non-finite"]
 
+    def test_reach_overflow_exits_2(self, tmp_path, capsys):
+        # native A at N=400: the open-loop products of the Gramian overflow,
+        # which is a typed failure, not an SVD traceback
+        rng = np.random.default_rng(5)
+        n, m, N = 8, 4, 400
+        doc = {"n": n, "m": m, "N": N,
+               "A": rng.standard_normal((N + 1, n, n)).tolist(),
+               "B": rng.standard_normal((N + 1, n, m)).tolist(),
+               "Q": np.eye(n).tolist(), "R": np.eye(m).tolist(), "H": np.eye(n).tolist(),
+               "x0": rng.standard_normal(n).tolist(), "xi": rng.standard_normal(n).tolist()}
+        p = write_doc(tmp_path, "long.json", doc)
+        out_path = tmp_path / "fail.json"
+        code, _, err = run_cli(["reach", "--instance", p, "--out", out_path], capsys)
+        assert code == 2
+        assert "non-finite" in err
+        assert json.loads(out_path.read_text())["error"]["code"] == "NonFiniteState"
+        assert child_stderr(["reach", "--instance", p]) == [
+            "termlq reach: reachability Gramian or drift term is non-finite at N=400"]
+
     def test_unwritable_out_exits_5(self, fixture_file, tmp_path, capsys):
         out_path = tmp_path / "absent_dir" / "solve.json"
         code, out, err = run_cli(

@@ -8,6 +8,8 @@ minimization over u is done on the fitted coefficients.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,6 +26,7 @@ from termlq import (
     solve_lambda,
     solve_schedule,
 )
+from termlq.harness import CampaignSpec, draw_reachable_instance, random_instance
 from termlq.linalg import range_tol
 from termlq.model import ProblemInstance, riccati_backward, validate_instance
 
@@ -38,6 +41,7 @@ from golden import (
     PRINTED_LAMBDA,
     PRINTED_P,
 )
+from reference_reachability import drift_product, reference_reachability
 
 
 def scalar_instance(x0=2.0, xi=5.0):
@@ -48,11 +52,20 @@ def scalar_instance(x0=2.0, xi=5.0):
                          np.array([x0]), np.array([xi]))
 
 
-def drift(inst, upto):
-    M = np.eye(inst.n)
-    for k in range(upto):
-        M = inst.A[k] @ M
-    return M
+class CountingTuple(tuple):
+    """A tuple that counts the reads of each index, iteration included."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self.reads = [0] * len(self)
+        return self
+
+    def __getitem__(self, k):
+        self.reads[k] += 1
+        return super().__getitem__(k)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 class TestValidation:
@@ -244,12 +257,54 @@ class TestReachability:
 
     def test_zero_b_exact_drift_reachable(self, example):
         B0 = [np.zeros((2, 1))] * 3
-        xi = drift(example, 3) @ example.x0
+        xi = drift_product(example, 0, 3) @ example.x0
         inst = make_instance(example.A, B0, example.Q, example.R, example.H,
                              example.x0, xi)
         res = check_reachability(inst)
         assert res.reachable
         npt.assert_allclose(res.zeta, 0.0, atol=1e-12)
+
+    def test_sweep_reads_each_stage_a_bounded_number_of_times(self):
+        # cost linear in N without timing: the sweep reads every A(k) and
+        # B(k) a fixed number of times, where per-stage products read A(N)
+        # once for each k
+        inst = random_instance(np.random.default_rng(0), 2, 1, 64)
+        A, B = CountingTuple(inst.A), CountingTuple(inst.B)
+        check_reachability(dataclasses.replace(inst, A=A, B=B))
+        assert max(A.reads) <= 2
+        assert max(B.reads) <= 2
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("N", [0, 3, 16, 128])
+    def test_matches_reference_gramian(self, n, m, N):
+        inst = random_instance(np.random.default_rng([n, m, N]), n, m, N)
+        inst = dataclasses.replace(inst, A=tuple(a / (2 * np.sqrt(n)) for a in inst.A))
+        res = check_reachability(inst)
+        reachable, G1, zeta = reference_reachability(inst)
+        assert res.reachable == reachable
+        npt.assert_allclose(res.G1, G1, rtol=0, atol=1e-12 * np.abs(G1).max())
+        if reachable:
+            npt.assert_allclose(res.zeta, zeta, rtol=0, atol=1e-12 * np.abs(zeta).max())
+        else:
+            assert res.zeta is None
+
+    def test_verdicts_match_reference_on_campaign_draws(self, monkeypatch):
+        # every draw the campaign screen makes for seeds 0-49, 20 trials each
+        draws = []
+
+        def both(inst):
+            res = check_reachability(inst)
+            draws.append((res.reachable, reference_reachability(inst)[0]))
+            return res
+
+        monkeypatch.setattr("termlq.harness.check_reachability", both)
+        spec = CampaignSpec(count=20, seed=0)
+        for seed in range(50):
+            for t in range(spec.count):
+                rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+                draw_reachable_instance(rng, spec.n_range, spec.m_range, spec.N_range)
+        assert len(draws) > 50 * spec.count
+        assert all(new == ref for new, ref in draws)
 
 
 class TestLambda:
@@ -313,7 +368,7 @@ class TestControlAndRollout:
     def test_zero_policy_is_pure_drift(self, example):
         traj = rollout(example, lambda k, x: np.zeros(1))
         for k in range(example.N + 2):
-            npt.assert_allclose(traj.states[k], drift(example, k) @ example.x0,
+            npt.assert_allclose(traj.states[k], drift_product(example, 0, k) @ example.x0,
                                 rtol=1e-13, atol=1e-13)
 
     def test_replay_identity(self, example, example_schedule, example_lambda):
