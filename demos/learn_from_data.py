@@ -44,20 +44,19 @@ learned = learn(plant, (inst.n, inst.m, inst.N), (inst.Q, inst.R, inst.H),
                 inst.x0, inst.xi, l, dist, seed=7)
 
 print(f"\nfitted kernel coefficients at {l} samples per stage")
-for k, qm in enumerate(learned.qmatrices):
-    print(f"  stage {k}: nu = {qm.nu}")
+# nu packs the upper triangle of each stage kernel Lambda(k), row by row
+for k, Lam in enumerate(learned.Lambda):
+    print(f"  stage {k}: nu = {Lam[np.triu_indices(d)]}")
 
 print("\nfit diagnostics")
-for k, diag in enumerate(learned.fit_diagnostics):
-    print(f"  stage {k}: residual {diag.residual:.3e}   condition {diag.cond:.1e}")
+fit = learned.fit_diagnostics
+for k in range(inst.N + 1):
+    print(f"  stage {k}: residual {fit.residual[k]:.3e}   condition {fit.cond[k]:.1e}")
 
 # cross-check against the matrices the learner was never shown
 sched = solve_schedule(inst)
 lamsol = solve_lambda(sched, inst)
-gap = 0.0
-for k in range(inst.N + 1):
-    gap = max(gap, np.abs(learned.K[k] - sched.K[k]).max(),
-              np.abs(learned.K1[k] - sched.K1[k]).max())
+gap = max(np.abs(learned.K - sched.K).max(), np.abs(learned.K1 - sched.K1).max())
 print("\nagreement with the model-based path")
 print(f"  max gain gap        = {gap:.3e}")
 print(f"  multiplier gap      = {np.abs(learned.lambda_star - lamsol.lambda_star).max():.3e}")

@@ -24,8 +24,6 @@ import argparse
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .errors import TermLqError, ValidationError
 from .fileio import (
@@ -51,6 +49,7 @@ from .qlearn import (
     default_gaussian_spec,
     learn,
     learned_policy,
+    pack_symmetric,
     sample_threshold,
 )
 
@@ -65,16 +64,14 @@ def _head(command: str, seed: int | None, inst: ProblemInstance | None) -> dict:
     return head
 
 
-def _flat(matrices) -> list:
-    # row-major flattening, one flat list per stage matrix
-    return [np.asarray(M).reshape(-1).tolist() for M in matrices]
+def _schedule_dict(sched) -> dict:
+    # one row-major flat list per stage matrix
+    return {name: X.reshape(len(X), -1).tolist()
+            for name, X in (("P", sched.P), ("K", sched.K), ("K1", sched.K1))}
 
 
 def _trajectory_dict(traj) -> dict:
-    return {
-        "states": [s.tolist() for s in traj.states],
-        "inputs": [u.tolist() for u in traj.inputs],
-    }
+    return {"states": traj.states.tolist(), "inputs": traj.inputs.tolist()}
 
 
 def _resolve_learn_options(args, settings: LearnSettings | None, n: int, m: int):
@@ -102,7 +99,7 @@ def _cmd_solve(args) -> dict:
     lamsol = solve_lambda(sched, inst)
     traj = rollout(inst, optimal_policy(sched, lamsol.lambda_star))
     report = _head("solve", None, inst)
-    report["schedule"] = {"P": _flat(sched.P), "K": _flat(sched.K), "K1": _flat(sched.K1)}
+    report["schedule"] = _schedule_dict(sched)
     report["lambda_star"] = lamsol.lambda_star.tolist()
     report["trajectory"] = _trajectory_dict(traj)
     report["cost"] = traj.cost
@@ -123,11 +120,11 @@ def _cmd_learn(args) -> dict:
     traj = rollout(inst, learned_policy(learned))
     report = _head("learn", seed, inst)
     report["samples"] = l
-    report["schedule"] = {"P": _flat(learned.P), "K": _flat(learned.K), "K1": _flat(learned.K1)}
-    report["nu"] = [qm.nu.tolist() for qm in learned.qmatrices]
+    report["schedule"] = _schedule_dict(learned)
+    report["nu"] = pack_symmetric(learned.Lambda).tolist()
     report["fit"] = {
-        "residuals": [d.residual for d in learned.fit_diagnostics],
-        "conditions": [d.cond for d in learned.fit_diagnostics],
+        "residuals": learned.fit_diagnostics.residual.tolist(),
+        "conditions": learned.fit_diagnostics.cond.tolist(),
     }
     report["lambda_star"] = learned.lambda_star.tolist()
     report["trajectory"] = _trajectory_dict(traj)
@@ -148,7 +145,7 @@ def _cmd_verify(args) -> dict:
     traj = comparison.model_trajectory
     report = _head("verify", seed, inst)
     report["samples"] = l
-    report["schedule"] = {"P": _flat(sched.P), "K": _flat(sched.K), "K1": _flat(sched.K1)}
+    report["schedule"] = _schedule_dict(sched)
     report["lambda_star"] = lamsol.lambda_star.tolist()
     report["trajectory"] = _trajectory_dict(traj)
     report["cost"] = traj.cost
@@ -160,7 +157,7 @@ def _cmd_verify(args) -> dict:
         "input_gap": comparison.input_gap,
         "costate_gap": comparison.costate_gap,
         "terminal_errors": list(comparison.terminal_errors),
-        "per_stage_condition": list(comparison.per_stage_condition),
+        "per_stage_condition": comparison.per_stage_condition.tolist(),
         "kkt_cost": comparison.oracle.cost,
         "kkt_residual": comparison.oracle.kkt_residual,
     }

@@ -213,8 +213,8 @@ def instance_hash(inst: ProblemInstance) -> str:
     """SHA-256 of the canonical instance serialization."""
     doc = {
         "n": inst.n, "m": inst.m, "N": inst.N,
-        "A": [a.tolist() for a in inst.A],
-        "B": [b.tolist() for b in inst.B],
+        "A": inst.A.tolist(),
+        "B": inst.B.tolist(),
         "Q": inst.Q.tolist(), "R": inst.R.tolist(), "H": inst.H.tolist(),
         "x0": inst.x0.tolist(), "xi": inst.xi.tolist(),
     }

@@ -59,10 +59,12 @@ class ComparisonReport:
     the model rollout with the oracle, each relative to max(1, the largest
     magnitude of the oracle cost, the model inputs or the closed-loop
     costates P(k+1) x(k+1) + Phi(k+1,N)' lambda*). terminal_errors holds
-    (model, learned) rollout misses; with no learned schedule the learned
-    slots collapse to the model values and per_stage_condition is empty.
-    model_trajectory and oracle are the model rollout and the KKT solution
-    the summary compares, so callers need not recompute them."""
+    (model, learned) rollout misses, and per_stage_condition the learned
+    fits' regressor condition numbers, stages 0..N; with no learned schedule
+    the learned slots collapse to the model values and per_stage_condition
+    is an empty array. model_trajectory and oracle are the model rollout and
+    the KKT solution the summary compares, so callers need not recompute
+    them."""
 
     max_gain_error: float
     lambda_error: float
@@ -70,7 +72,7 @@ class ComparisonReport:
     input_gap: float
     costate_gap: float
     terminal_errors: tuple[float, float]
-    per_stage_condition: tuple[float, ...]
+    per_stage_condition: Array
     model_trajectory: Trajectory
     oracle: KktSolution
 
@@ -138,7 +140,7 @@ def kkt_oracle(inst: ProblemInstance) -> KktSolution:
     N, n, m = inst.N, inst.n, inst.m
     s = m + 2 * n
     iu, ip, ix = slice(0, m), slice(m, m + n), slice(m + n, s)
-    A, B = np.stack(inst.A), np.stack(inst.B)
+    A, B = inst.A, inst.B
     Q, R, H = sym(inst.Q), sym(inst.R), sym(inst.H)
     eye = np.eye(n)
     diag = np.zeros((N + 1, s, s))
@@ -196,10 +198,9 @@ def verify_solution(inst: ProblemInstance, sched: ModelSchedule, lamsol: LambdaS
     model_traj = rollout(inst, optimal_policy(sched, lam))
     oracle = kkt_oracle(inst)
     cost_gap = abs(model_traj.cost - oracle.cost) / max(1.0, abs(oracle.cost))
-    U = np.array(model_traj.inputs)
-    X = np.array(model_traj.states[1:])
-    costates = (np.einsum("kij,kj->ki", np.stack(sched.P[1:]), X)
-                + np.einsum("kji,j->ki", np.stack(sched.Phi[1:]), lam))
+    U = model_traj.inputs
+    costates = (np.einsum("kij,kj->ki", sched.P[1:], model_traj.states[1:])
+                + np.einsum("kji,j->ki", sched.Phi[1:], lam))
     gaps = dict(cost_gap=float(cost_gap),
                 input_gap=_relative_gap(oracle.u_stacked.reshape(U.shape), U),
                 costate_gap=_relative_gap(oracle.costates, costates))
@@ -208,16 +209,13 @@ def verify_solution(inst: ProblemInstance, sched: ModelSchedule, lamsol: LambdaS
         return ComparisonReport(max_gain_error=0.0, lambda_error=0.0, **gaps,
                                 terminal_errors=(model_traj.terminal_error,
                                                  model_traj.terminal_error),
-                                per_stage_condition=(), model_trajectory=model_traj,
+                                per_stage_condition=ro(np.empty(0)),
+                                model_trajectory=model_traj,
                                 oracle=oracle)
 
-    gain_err = 0.0
-    for k in range(inst.N + 1):
-        gain_err = max(gain_err,
-                       float(np.abs(learned.K[k] - sched.K[k]).max()),
-                       float(np.abs(learned.K1[k] - sched.K1[k]).max()))
-    for k in range(inst.N + 2):
-        gain_err = max(gain_err, float(np.abs(learned.P[k] - sched.P[k]).max()))
+    gain_err = max(float(np.abs(learned.K - sched.K).max()),
+                   float(np.abs(learned.K1 - sched.K1).max()),
+                   float(np.abs(learned.P - sched.P).max()))
     lam_err = float(np.abs(learned.lambda_star - lamsol.lambda_star).max())
     learned_traj = rollout(inst, learned_policy(learned))
     return ComparisonReport(
@@ -225,14 +223,14 @@ def verify_solution(inst: ProblemInstance, sched: ModelSchedule, lamsol: LambdaS
         lambda_error=lam_err,
         **gaps,
         terminal_errors=(model_traj.terminal_error, learned_traj.terminal_error),
-        per_stage_condition=tuple(d.cond for d in learned.fit_diagnostics),
+        per_stage_condition=learned.fit_diagnostics.cond,
         model_trajectory=model_traj, oracle=oracle)
 
 
 def random_instance(rng: np.random.Generator, n: int, m: int, N: int) -> ProblemInstance:
     """Standard-normal system matrices and endpoints with identity weights."""
-    A = [rng.standard_normal((n, n)) for _ in range(N + 1)]
-    B = [rng.standard_normal((n, m)) for _ in range(N + 1)]
+    A = rng.standard_normal((N + 1, n, n))
+    B = rng.standard_normal((N + 1, n, m))
     return make_instance(A, B, np.eye(n), np.eye(m), np.eye(n),
                          rng.standard_normal(n), rng.standard_normal(n))
 

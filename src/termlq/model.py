@@ -38,15 +38,16 @@ from .linalg import Array, is_pd, is_psd, min_norm_solve, range_tol, ro, sym
 class ProblemInstance:
     """One terminal-constrained LQ problem.
 
-    A and B hold N+1 stage matrices each (k = 0..N). Q and H must be
-    symmetric positive semi-definite, R symmetric positive definite.
+    A (N+1, n, n) and B (N+1, n, m) stack the stage matrices, stage k = 0..N
+    on the leading axis. Q and H must be symmetric positive semi-definite, R
+    symmetric positive definite.
     """
 
     N: int
     n: int
     m: int
-    A: tuple[Array, ...]
-    B: tuple[Array, ...]
+    A: Array
+    B: Array
     Q: Array
     R: Array
     H: Array
@@ -55,36 +56,21 @@ class ProblemInstance:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    checks: tuple[CheckResult, ...]
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-@dataclass(frozen=True)
 class ModelSchedule:
-    """Backward-pass products for one instance.
+    """Backward-pass products for one instance, each a read-only array with
+    the stage on its leading axis.
 
-    P has N+2 entries (P(N+1) = H), Gamma/K/K1/Ac have N+1, Phi has N+2 with
-    Phi(N+1,N) = I, and G has N+2 with G(N+1) = 0.
+    P (N+2, n, n) ends with P(N+1) = H; Gamma (N+1, m, m), K (N+1, m, n) and
+    K1 (N+1, m, n) cover stages 0..N; Phi (N+2, n, n) ends with
+    Phi(N+1,N) = I, and G (N+2, n, n) with G(N+1) = 0.
     """
 
-    P: tuple[Array, ...]
-    Gamma: tuple[Array, ...]
-    K: tuple[Array, ...]
-    K1: tuple[Array, ...]
-    Ac: tuple[Array, ...]
-    Phi: tuple[Array, ...]
-    G: tuple[Array, ...]
+    P: Array
+    Gamma: Array
+    K: Array
+    K1: Array
+    Phi: Array
+    G: Array
 
 
 @dataclass(frozen=True)
@@ -104,8 +90,12 @@ class LambdaSolution:
 
 @dataclass(frozen=True)
 class Trajectory:
-    states: tuple[Array, ...]
-    inputs: tuple[Array, ...]
+    """A rollout: states x(0..N+1) as an (N+2, n) array, inputs u(0..N) as
+    an (N+1, m) array, the quadratic cost and the terminal miss against
+    xi."""
+
+    states: Array
+    inputs: Array
     cost: float
     terminal_error: float
 
@@ -118,84 +108,73 @@ class ReachabilityResult:
 
 
 def make_instance(A: Sequence, B: Sequence, Q, R, H, x0, xi) -> ProblemInstance:
-    """Build a ProblemInstance from array-likes, inferring dimensions."""
-    A_t = tuple(ro(a) for a in A)
-    B_t = tuple(ro(b) for b in B)
-    if not A_t or A_t[0].ndim != 2:
-        raise ValidationError("A must be a nonempty sequence of matrices")
-    n = A_t[0].shape[0]
-    m = B_t[0].shape[1] if B_t and B_t[0].ndim == 2 else 0
-    return ProblemInstance(
-        N=len(A_t) - 1,
-        n=n,
-        m=m,
-        A=A_t,
-        B=B_t,
-        Q=ro(Q),
-        R=ro(R),
-        H=ro(H),
-        x0=ro(x0),
-        xi=ro(xi),
-    )
+    """Build a ProblemInstance from array-likes, inferring dimensions.
 
-
-def validate_instance(inst: ProblemInstance) -> ValidationReport:
-    """Per-check validation report: dimensions, symmetry, definiteness.
-
-    Never raises; callers decide whether to abort on report.ok = False.
+    A and B are sequences of stage matrices, or arrays with the stage on the
+    leading axis. Stage matrices of unequal shapes cannot be stacked: they
+    raise the ValidationError that require_valid gives for them.
     """
-    checks: list[CheckResult] = []
-    n, m, N = inst.n, inst.m, inst.N
+    A_k = [np.asarray(a, dtype=float) for a in A]
+    B_k = [np.asarray(b, dtype=float) for b in B]
+    if not A_k or A_k[0].ndim != 2:
+        raise ValidationError("A must be a nonempty sequence of matrices")
+    n = A_k[0].shape[0]
+    m = B_k[0].shape[1] if B_k and B_k[0].ndim == 2 else 0
+    N = len(A_k) - 1
+    try:
+        A_s, B_s = ro(np.stack(A_k)), ro(np.stack(B_k))
+    except ValueError:
+        _require_dims(N, n, m, A_k, B_k)
+        raise
+    return ProblemInstance(N=N, n=n, m=m, A=A_s, B=B_s, Q=ro(Q), R=ro(R), H=ro(H),
+                           x0=ro(x0), xi=ro(xi))
 
-    def add(name: str, passed: bool, detail: str = "") -> None:
-        checks.append(CheckResult(name, passed, detail))
 
-    add("horizon", N >= 0, f"N={N}" if N < 0 else "")
-    add("state_dim", n >= 1, f"n={n}" if n < 1 else "")
-    add("input_dim", m >= 1, f"m={m}" if m < 1 else "")
+def _check(name: str, passed: bool, detail: str) -> None:
+    if not passed:
+        raise ValidationError(f"instance check '{name}' failed: {detail}")
 
-    ok_len_A = len(inst.A) == N + 1
-    add("A_length", ok_len_A, "" if ok_len_A else f"len(A)={len(inst.A)}, expected {N + 1}")
-    ok_len_B = len(inst.B) == N + 1
-    add("B_length", ok_len_B, "" if ok_len_B else f"len(B)={len(inst.B)}, expected {N + 1}")
 
-    bad = next((k for k, a in enumerate(inst.A) if a.shape != (n, n)), None)
-    add("A_shape", bad is None, "" if bad is None else f"A[{bad}] has shape {inst.A[bad].shape}")
-    bad = next((k for k, b in enumerate(inst.B) if b.shape != (n, m)), None)
-    add("B_shape", bad is None, "" if bad is None else f"B[{bad}] has shape {inst.B[bad].shape}")
-
-    for name, M, shape in (("Q_shape", inst.Q, (n, n)), ("R_shape", inst.R, (m, m)),
-                           ("H_shape", inst.H, (n, n))):
-        add(name, M.shape == shape, "" if M.shape == shape else f"shape {M.shape}, expected {shape}")
-    for name, v, dim in (("x0_shape", inst.x0, n), ("xi_shape", inst.xi, n)):
-        add(name, v.shape == (dim,), "" if v.shape == (dim,) else f"shape {v.shape}, expected ({dim},)")
-
-    if all(c.passed for c in checks):
-        for name, M in (("Q_symmetric", inst.Q), ("R_symmetric", inst.R), ("H_symmetric", inst.H)):
-            gap = float(np.abs(M - M.T).max()) if M.size else 0.0
-            add(name, gap <= 1e-12 * max(1.0, float(np.abs(M).max())), f"asymmetry {gap:.3e}")
-        for name, M, test in (("Q_psd", inst.Q, is_psd), ("R_pd", inst.R, is_pd),
-                              ("H_psd", inst.H, is_psd)):
-            okd, lo = test(sym(M))
-            add(name, okd, "" if okd else f"eigenvalue {lo:.6e}")
-        finite = all(np.isfinite(a).all() for a in
-                     (*inst.A, *inst.B, inst.Q, inst.R, inst.H, inst.x0, inst.xi))
-        add("finite_entries", finite, "" if finite else "non-finite entry present")
-
-    return ValidationReport(ok=all(c.passed for c in checks), checks=tuple(checks))
+def _require_dims(N: int, n: int, m: int, A: Sequence[Array], B: Sequence[Array]) -> None:
+    # A and B as stacks or as lists of stage matrices: a list is what
+    # make_instance holds when the stage shapes differ
+    _check("horizon", N >= 0, f"N={N}")
+    _check("state_dim", n >= 1, f"n={n}")
+    _check("input_dim", m >= 1, f"m={m}")
+    _check("A_length", len(A) == N + 1, f"len(A)={len(A)}, expected {N + 1}")
+    _check("B_length", len(B) == N + 1, f"len(B)={len(B)}, expected {N + 1}")
+    for name, mats, shape in (("A", A, (n, n)), ("B", B, (n, m))):
+        bad = next((k for k, M in enumerate(mats) if M.shape != shape), None)
+        if bad is not None:
+            _check(f"{name}_shape", False, f"{name}[{bad}] has shape {mats[bad].shape}")
 
 
 def require_valid(inst: ProblemInstance) -> None:
-    report = validate_instance(inst)
-    if not report.ok:
-        first = report.failures()[0]
-        raise ValidationError(f"instance check '{first.name}' failed: {first.detail}")
+    """Check dimensions, then symmetry, definiteness and finite entries, in
+    that order; raises ValidationError naming the first failing check."""
+    n, m, N = inst.n, inst.m, inst.N
+    _require_dims(N, n, m, inst.A, inst.B)
+    for name, M, shape in (("Q_shape", inst.Q, (n, n)), ("R_shape", inst.R, (m, m)),
+                           ("H_shape", inst.H, (n, n))):
+        _check(name, M.shape == shape, f"shape {M.shape}, expected {shape}")
+    for name, v in (("x0_shape", inst.x0), ("xi_shape", inst.xi)):
+        _check(name, v.shape == (n,), f"shape {v.shape}, expected ({n},)")
+    for name, M in (("Q_symmetric", inst.Q), ("R_symmetric", inst.R), ("H_symmetric", inst.H)):
+        gap = float(np.abs(M - M.T).max()) if M.size else 0.0
+        _check(name, gap <= 1e-12 * max(1.0, float(np.abs(M).max())), f"asymmetry {gap:.3e}")
+    for name, M, test in (("Q_psd", inst.Q, is_psd), ("R_pd", inst.R, is_pd),
+                          ("H_psd", inst.H, is_psd)):
+        okd, lo = test(sym(M))
+        _check(name, okd, f"eigenvalue {lo:.6e}")
+    finite = all(np.isfinite(a).all() for a in
+                 (inst.A, inst.B, inst.Q, inst.R, inst.H, inst.x0, inst.xi))
+    _check("finite_entries", finite, "non-finite entry present")
 
 
-def riccati_backward(inst: ProblemInstance) -> tuple[tuple[Array, ...], tuple[Array, ...], tuple[Array, ...]]:
+def riccati_backward(inst: ProblemInstance) -> tuple[Array, Array, Array]:
     """Backward Riccati pass.
 
-    Returns (P, Gamma, K): P(N+1) = H, then for k = N..0
+    Returns the stacks (P, Gamma, K): P(N+1) = H, then for k = N..0
 
         Gamma(k) = R + B(k)' P(k+1) B(k)
         K(k)     = -Gamma(k)^-1 B(k)' P(k+1) A(k)
@@ -204,48 +183,43 @@ def riccati_backward(inst: ProblemInstance) -> tuple[tuple[Array, ...], tuple[Ar
     with every P(k) symmetrized. Raises SingularGamma if any Gamma(k) fails
     the positive-definite test.
     """
-    N = inst.N
-    P: list[Array] = [None] * (N + 2)  # type: ignore[list-item]
-    Gamma: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    K: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    P[N + 1] = ro(sym(inst.H))
+    N, n, m = inst.N, inst.n, inst.m
+    P = np.empty((N + 2, n, n))
+    Gamma = np.empty((N + 1, m, m))
+    K = np.empty((N + 1, m, n))
+    P[N + 1] = sym(inst.H)
     for k in range(N, -1, -1):
         Ak, Bk = inst.A[k], inst.B[k]
         PB = P[k + 1] @ Bk
-        Gk = sym(inst.R + Bk.T @ PB)
-        okd, lo = is_pd(Gk)
+        Gamma[k] = sym(inst.R + Bk.T @ PB)
+        okd, lo = is_pd(Gamma[k])
         if not okd:
             raise SingularGamma(f"Gamma({k}) has eigenvalue {lo:.6e}")
-        Kk = -np.linalg.solve(Gk, PB.T @ Ak)
-        Pk = sym(inst.Q + Ak.T @ P[k + 1] @ Ak + (PB.T @ Ak).T @ Kk)
-        P[k], Gamma[k], K[k] = ro(Pk), ro(Gk), ro(Kk)
-    return tuple(P), tuple(Gamma), tuple(K)
+        K[k] = -np.linalg.solve(Gamma[k], PB.T @ Ak)
+        P[k] = sym(inst.Q + Ak.T @ P[k + 1] @ Ak + (PB.T @ Ak).T @ K[k])
+    return ro(P), ro(Gamma), ro(K)
 
 
-def build_schedule(inst: ProblemInstance, P: Sequence[Array], Gamma: Sequence[Array],
-                   K: Sequence[Array]) -> ModelSchedule:
+def build_schedule(inst: ProblemInstance, P: Array, Gamma: Array, K: Array) -> ModelSchedule:
     """Closed-loop products and multiplier gains on top of the Riccati pass.
 
-    Ac(k) = A(k) + B(k) K(k); Phi(k,N) = Ac(N) ... Ac(k) with Phi(N+1,N) = I;
-    G(s) = sum_{j=s}^{N} Phi(j+1,N) Bbar(j) Phi(j+1,N)' with
-    Bbar(j) = B(j) Gamma(j)^-1 B(j)'; K1(k) = -Gamma(k)^-1 B(k)' Phi(k+1,N)'.
+    With the closed loop Ac(k) = A(k) + B(k) K(k): Phi(k,N) = Ac(N) ... Ac(k)
+    with Phi(N+1,N) = I; G(s) = sum_{j=s}^{N} Phi(j+1,N) Bbar(j) Phi(j+1,N)'
+    with Bbar(j) = B(j) Gamma(j)^-1 B(j)'; K1(k) = -Gamma(k)^-1 B(k)' Phi(k+1,N)'.
     """
-    N, n = inst.N, inst.n
-    Ac: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    Phi: list[Array] = [None] * (N + 2)  # type: ignore[list-item]
-    G: list[Array] = [None] * (N + 2)  # type: ignore[list-item]
-    K1: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    Phi[N + 1] = ro(np.eye(n))
-    G[N + 1] = ro(np.zeros((n, n)))
+    N, n, m = inst.N, inst.n, inst.m
+    Phi = np.empty((N + 2, n, n))
+    G = np.empty((N + 2, n, n))
+    K1 = np.empty((N + 1, m, n))
+    Phi[N + 1] = np.eye(n)
+    G[N + 1] = 0.0
     for k in range(N, -1, -1):
         Bk = inst.B[k]
-        Ac[k] = ro(inst.A[k] + Bk @ K[k])
-        Phi[k] = ro(Phi[k + 1] @ Ac[k])
+        Phi[k] = Phi[k + 1] @ (inst.A[k] + Bk @ K[k])
         Bbar = Bk @ np.linalg.solve(Gamma[k], Bk.T)
-        G[k] = ro(sym(G[k + 1] + Phi[k + 1] @ Bbar @ Phi[k + 1].T))
-        K1[k] = ro(-np.linalg.solve(Gamma[k], Bk.T @ Phi[k + 1].T))
-    return ModelSchedule(P=tuple(P), Gamma=tuple(Gamma), K=tuple(K),
-                         K1=tuple(K1), Ac=tuple(Ac), Phi=tuple(Phi), G=tuple(G))
+        G[k] = sym(G[k + 1] + Phi[k + 1] @ Bbar @ Phi[k + 1].T)
+        K1[k] = -np.linalg.solve(Gamma[k], Bk.T @ Phi[k + 1].T)
+    return ModelSchedule(P=P, Gamma=Gamma, K=K, K1=ro(K1), Phi=ro(Phi), G=ro(G))
 
 
 def solve_schedule(inst: ProblemInstance) -> ModelSchedule:
@@ -304,7 +278,8 @@ def solve_lambda(sched: ModelSchedule, inst: ProblemInstance) -> LambdaSolution:
 
 def optimal_policy(sched: ModelSchedule, lam: Array) -> Callable[[int, Array], Array]:
     """The closed control law u(k) = K(k) x + K1(k) lambda as a
-    (stage, state) -> input callable; raises StageOutOfRange outside 0..N."""
+    (stage, state) -> input callable; raises StageOutOfRange outside 0..N.
+    sched is any schedule with K and K1 stacks, learned ones included."""
     def policy(k: int, x: Array) -> Array:
         if not 0 <= k < len(sched.K):
             raise StageOutOfRange(f"stage {k} outside 0..{len(sched.K) - 1}")
@@ -316,9 +291,10 @@ def rollout(inst: ProblemInstance, policy: Callable[[int, Array], Array]) -> Tra
     """Simulate x(k+1) = A(k) x(k) + B(k) u(k) under the policy, accumulate
     the quadratic cost, and record the terminal miss against xi. Raises
     NonFiniteState when a state or the cost overflows."""
+    states = np.empty((inst.N + 2, inst.n))
+    inputs = np.empty((inst.N + 1, inst.m))
     x = np.array(inst.x0, dtype=float)
-    states = [ro(x)]
-    inputs: list[Array] = []
+    states[0] = x
     cost = 0.0
     # an overflow is reported as NonFiniteState, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -328,11 +304,11 @@ def rollout(inst: ProblemInstance, policy: Callable[[int, Array], Array]) -> Tra
             x = inst.A[k] @ x + inst.B[k] @ u
             if not np.isfinite(x).all():
                 raise NonFiniteState(f"state at stage {k + 1} is non-finite")
-            inputs.append(ro(u))
-            states.append(ro(x))
+            inputs[k] = u
+            states[k + 1] = x
         cost += float(x @ inst.H @ x)
     if not np.isfinite(cost):
         raise NonFiniteState("rollout cost is non-finite")
     terminal_error = float(np.abs(x - inst.xi).max())
-    return Trajectory(states=tuple(states), inputs=tuple(inputs),
+    return Trajectory(states=ro(states), inputs=ro(inputs),
                       cost=cost, terminal_error=terminal_error)

@@ -16,12 +16,13 @@ of the fitted blocks; the backward pass carries only learned quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InsufficientSamples, NotReachable, OracleMiss, RankDeficient, SingularBlock
 from .linalg import Array, RANK_RTOL, is_pd, min_norm_solve, range_tol, ro, sym
-from .model import ProblemInstance
+from .model import ProblemInstance, optimal_policy
 
 # fitted residuals above this fraction of ||gamma|| get flagged
 RESIDUAL_WARN_RTOL = 1e-6
@@ -160,9 +161,11 @@ def regressor_matrix(Z: Array) -> Array:
 
 
 def pack_symmetric(M: Array) -> Array:
-    """Row-major upper-triangle vectorization of a symmetric matrix."""
+    """Row-major upper-triangle vectorization of a symmetric matrix, or of
+    each matrix of a stack along the last two axes."""
     M = np.asarray(M, dtype=float)
-    return M[np.triu_indices(M.shape[0])]
+    iu = np.triu_indices(M.shape[-1])
+    return M[..., iu[0], iu[1]]
 
 
 def unpack_symmetric(v: Array, d: int) -> Array:
@@ -176,57 +179,14 @@ def unpack_symmetric(v: Array, d: int) -> Array:
 
 
 @dataclass(frozen=True)
-class QMatrix:
-    """Fitted stage kernel Lambda(k), symmetric (2n+m) x (2n+m), with block
-    views in the (x, u, lambda) layout."""
-
-    k: int
-    n: int
-    m: int
-    Lambda: Array
-
-    @property
-    def L11(self) -> Array:
-        n = self.n
-        return self.Lambda[:n, :n]
-
-    @property
-    def L21(self) -> Array:
-        n, m = self.n, self.m
-        return self.Lambda[n:n + m, :n]
-
-    @property
-    def L22(self) -> Array:
-        n, m = self.n, self.m
-        return self.Lambda[n:n + m, n:n + m]
-
-    @property
-    def L31(self) -> Array:
-        n, m = self.n, self.m
-        return self.Lambda[n + m:, :n]
-
-    @property
-    def L32(self) -> Array:
-        n, m = self.n, self.m
-        return self.Lambda[n + m:, n:n + m]
-
-    @property
-    def L33(self) -> Array:
-        n, m = self.n, self.m
-        return self.Lambda[n + m:, n + m:]
-
-    @property
-    def nu(self) -> Array:
-        return pack_symmetric(self.Lambda)
-
-
-@dataclass(frozen=True)
 class FitDiagnostics:
-    """Residual 2-norm and regressor condition number of one stage fit."""
+    """Per-stage fit health, one entry per stage 0..N: the residual 2-norm,
+    the regressor condition number, and the flag for a residual above
+    RESIDUAL_WARN_RTOL times the target norm."""
 
-    residual: float
-    cond: float
-    high_residual: bool
+    residual: Array
+    cond: Array
+    high_residual: Array
 
 
 @dataclass(frozen=True)
@@ -242,21 +202,23 @@ class StageExtract:
 
 @dataclass(frozen=True)
 class LearnedSchedule:
-    """Model-free counterpart of ModelSchedule.
+    """Model-free counterpart of ModelSchedule, each per-stage quantity a
+    read-only array with the stage on its leading axis.
 
-    P, Phi, G are padded to the model shape with the learner-known boundary
-    values P(N+1)=H, Phi(N+1,N)=I, G(N+1)=0 so the two schedules compare
-    index for index.
+    Lambda (N+1, 2n+m, 2n+m) holds the fitted kernels in the (x, u, lambda)
+    layout, K and K1 (N+1, m, n) the gains. P, Phi and G (N+2, n, n) end
+    with the learner-known boundary values P(N+1) = H, Phi(N+1,N) = I and
+    G(N+1) = 0, so the two schedules compare index for index.
     """
 
-    qmatrices: tuple[QMatrix, ...]
-    K: tuple[Array, ...]
-    K1: tuple[Array, ...]
-    P: tuple[Array, ...]
-    Phi: tuple[Array, ...]
-    G: tuple[Array, ...]
+    Lambda: Array
+    K: Array
+    K1: Array
+    P: Array
+    Phi: Array
+    G: Array
     lambda_star: Array
-    fit_diagnostics: tuple[FitDiagnostics, ...]
+    fit_diagnostics: FitDiagnostics
 
 
 def stage_targets(ds: StageDataset, Q: Array, R: Array, P_next: Array,
@@ -275,12 +237,12 @@ def stage_targets(ds: StageDataset, Q: Array, R: Array, P_next: Array,
     return gamma - np.einsum("ij,jk,ik->i", L, G_next, L)
 
 
-def fit_stage(ds: StageDataset, gamma: Array) -> tuple[QMatrix, FitDiagnostics]:
+def fit_stage(ds: StageDataset, gamma: Array) -> tuple[Array, float, float]:
     """Least-squares fit of the packed kernel coefficients.
 
     Solves argmin ||Ups nu - gamma||_2 by singular value decomposition (not
-    the normal equations), unpacks nu into the symmetric Lambda(k), and
-    reports the residual and the regressor condition number. Raises
+    the normal equations) and returns (Lambda(k), residual 2-norm, regressor
+    condition number), with nu unpacked into the symmetric Lambda(k). Raises
     RankDeficient when Ups loses column rank at the shared cutoff.
     """
     n, m = ds.X.shape[1], ds.U.shape[1]
@@ -294,29 +256,32 @@ def fit_stage(ds: StageDataset, gamma: Array) -> tuple[QMatrix, FitDiagnostics]:
             f"stage {ds.k} regressor rank {rank} < {need}",
             rank=int(rank), cond=cond)
     residual = float(np.linalg.norm(Ups @ nu - gamma))
-    warn = residual > RESIDUAL_WARN_RTOL * float(np.linalg.norm(gamma))
-    qm = QMatrix(k=ds.k, n=n, m=m, Lambda=ro(unpack_symmetric(nu, 2 * n + m)))
-    return qm, FitDiagnostics(residual=residual, cond=cond, high_residual=bool(warn))
+    return unpack_symmetric(nu, 2 * n + m), residual, cond
 
 
-def extract_stage(qm: QMatrix, G_next: Array) -> StageExtract:
-    """Controller pieces from one fitted kernel.
+def extract_stage(k: int, Lam: Array, G_next: Array) -> StageExtract:
+    """Controller pieces from the fitted kernel Lambda(k) of stage k.
 
+    With the blocks L11..L33 of Lambda(k) in the (x, u, lambda) layout:
     K = -L22^-1 L21, K1 = -L22^-1 L32', P = L11 - L21' L22^-1 L21,
     Phi_row = L31 - L32 L22^-1 L21 (the row Phi(k,N) of the closed-loop
     table), G = G_next + L32 L22^-1 L32'. At the terminal stage G_next = 0.
     """
-    ok, lo = is_pd(sym(qm.L22))
+    n, d = G_next.shape[0], Lam.shape[0]
+    u, lam = slice(n, d - n), slice(d - n, d)
+    L11, L21, L22 = Lam[:n, :n], Lam[u, :n], Lam[u, u]
+    L31, L32 = Lam[lam, :n], Lam[lam, u]
+    ok, lo = is_pd(sym(L22))
     if not ok:
-        raise SingularBlock(f"stage {qm.k} input block has eigenvalue {lo:.6e}")
-    L22 = sym(qm.L22)
-    W21 = np.linalg.solve(L22, qm.L21)
-    W32 = np.linalg.solve(L22, qm.L32.T)
+        raise SingularBlock(f"stage {k} input block has eigenvalue {lo:.6e}")
+    L22 = sym(L22)
+    W21 = np.linalg.solve(L22, L21)
+    W32 = np.linalg.solve(L22, L32.T)
     K = -W21
     K1 = -W32
-    P = sym(qm.L11 - qm.L21.T @ W21)
-    Phi_row = qm.L31 - qm.L32 @ W21
-    G = sym(np.asarray(G_next, dtype=float) + qm.L32 @ W32)
+    P = sym(L11 - L21.T @ W21)
+    Phi_row = L31 - L32 @ W21
+    G = sym(np.asarray(G_next, dtype=float) + L32 @ W32)
     return StageExtract(K=ro(K), K1=ro(K1), P=ro(P), Phi_row=ro(Phi_row), G=ro(G))
 
 
@@ -344,16 +309,14 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
     if dist.x_mean.shape != (n,) or dist.u_mean.shape != (m,):
         raise ValueError("probe distribution dimensions do not match dims")
 
-    qms: list[QMatrix] = [None] * (N + 1)  # type: ignore[list-item]
-    diags: list[FitDiagnostics] = [None] * (N + 1)  # type: ignore[list-item]
-    K: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    K1: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    P: list[Array] = [None] * (N + 2)  # type: ignore[list-item]
-    Phi: list[Array] = [None] * (N + 2)  # type: ignore[list-item]
-    G: list[Array] = [None] * (N + 2)  # type: ignore[list-item]
-    P[N + 1] = ro(sym(H))
-    Phi[N + 1] = ro(np.eye(n))
-    G[N + 1] = ro(np.zeros((n, n)))
+    d = 2 * n + m
+    Lambda = np.empty((N + 1, d, d))
+    residual, cond, gamma_norm = np.empty(N + 1), np.empty(N + 1), np.empty(N + 1)
+    K, K1 = np.empty((N + 1, m, n)), np.empty((N + 1, m, n))
+    P, Phi, G = np.empty((N + 2, n, n)), np.empty((N + 2, n, n)), np.empty((N + 2, n, n))
+    P[N + 1] = sym(H)
+    Phi[N + 1] = np.eye(n)
+    G[N + 1] = 0.0
 
     for k in range(N, -1, -1):
         ds = sample_stage_data(oracle, k, l, dist, seed)
@@ -361,29 +324,29 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
         # the two round differently in the targets
         P_next = H if k == N else P[k + 1]
         gamma = stage_targets(ds, Q, R, P_next, Phi[k + 1], G[k + 1])
-        qm, diags[k] = fit_stage(ds, gamma)
-        ex = extract_stage(qm, G_next=G[k + 1])
-        qms[k], K[k], K1[k] = qm, ex.K, ex.K1
-        P[k], Phi[k], G[k] = ex.P, ex.Phi_row, ex.G
+        Lambda[k], residual[k], cond[k] = fit_stage(ds, gamma)
+        gamma_norm[k] = np.linalg.norm(gamma)
+        ex = extract_stage(k, Lambda[k], G_next=G[k + 1])
+        K[k], K1[k], P[k], Phi[k], G[k] = ex.K, ex.K1, ex.P, ex.Phi_row, ex.G
 
-    qm0 = qms[0]
-    M = sym(-qm0.L33 - qm0.L32 @ K1[0])
+    L32, L33 = Lambda[0, n + m:, n:n + m], Lambda[0, n + m:, n + m:]
+    M = sym(-L33 - L32 @ K1[0])
     # rank the multiplier system against the fitted kernel magnitude: fit
     # noise in a numerically zero G(0) must not pass for invertible
-    kernel_scale = float(np.abs(qm0.Lambda).max())
+    kernel_scale = float(np.abs(Lambda[0]).max())
     lam, resid, _ = min_norm_solve(M, Phi[0] @ x0 - xi, scale=kernel_scale)
     if resid > range_tol(xi):
         raise NotReachable(
             f"learned multiplier equation residual {resid:.6e} exceeds "
             f"tolerance {range_tol(xi):.6e}")
 
-    return LearnedSchedule(qmatrices=tuple(qms), K=tuple(K), K1=tuple(K1),
-                           P=tuple(P), Phi=tuple(Phi), G=tuple(G),
-                           lambda_star=ro(lam), fit_diagnostics=tuple(diags))
+    diagnostics = FitDiagnostics(residual=ro(residual), cond=ro(cond),
+                                 high_residual=ro(residual > RESIDUAL_WARN_RTOL * gamma_norm))
+    return LearnedSchedule(Lambda=ro(Lambda), K=ro(K), K1=ro(K1), P=ro(P), Phi=ro(Phi),
+                           G=ro(G), lambda_star=ro(lam), fit_diagnostics=diagnostics)
 
 
-def learned_policy(ls: LearnedSchedule):
-    """Control law (stage, state) -> input from a learned schedule."""
-    def policy(k: int, x: Array) -> Array:
-        return ls.K[k] @ x + ls.K1[k] @ ls.lambda_star
-    return policy
+def learned_policy(ls: LearnedSchedule) -> Callable[[int, Array], Array]:
+    """Control law (stage, state) -> input from a learned schedule: the
+    optimal_policy of its gains and multiplier."""
+    return optimal_policy(ls, ls.lambda_star)

@@ -13,16 +13,17 @@ from termlq.model import ModelSchedule, ProblemInstance, Trajectory
 
 @dataclass(frozen=True)
 class CostateSequence:
-    """Adjoint sequence p(0..N) and its constraint part eta(0..N)."""
+    """Adjoint sequence p(0..N) and its constraint part eta(0..N), each an
+    (N+1, n) array with one row per stage."""
 
-    p: tuple[Array, ...]
-    eta: tuple[Array, ...]
+    p: Array
+    eta: Array
 
 
-def _adjoint(inst: ProblemInstance, traj: Trajectory, lam: Array) -> list[Array]:
+def _adjoint(inst: ProblemInstance, traj: Trajectory, lam: Array) -> Array:
     # p(N) = H x(N+1) + lambda, then backward p(k-1) = A(k)' p(k) + Q x(k)
     N = inst.N
-    p: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
+    p = np.empty((N + 1, inst.n))
     p[N] = inst.H @ traj.states[N + 1] + lam
     for k in range(N, 0, -1):
         p[k - 1] = inst.A[k].T @ p[k] + inst.Q @ traj.states[k]
@@ -35,14 +36,15 @@ def costate_sequence(inst: ProblemInstance, sched: ModelSchedule, traj: Trajecto
 
     p(N) = H x(N+1) + lambda, then backward p(k-1) = A(k)' p(k) + Q x(k).
     The constraint part eta starts at eta(N) = lambda and propagates through
-    the closed loop, eta(k-1) = Ac(k)' eta(k), which equals Phi(k,N)' lambda.
+    the closed loop Ac(k) = A(k) + B(k) K(k), eta(k-1) = Ac(k)' eta(k), which
+    equals Phi(k,N)' lambda.
     """
     N = inst.N
-    eta: list[Array] = [None] * (N + 1)  # type: ignore[list-item]
-    eta[N] = ro(np.asarray(lam, dtype=float))
+    eta = np.empty((N + 1, inst.n))
+    eta[N] = lam
     for k in range(N, 0, -1):
-        eta[k - 1] = ro(sched.Ac[k].T @ eta[k])
-    return CostateSequence(p=tuple(ro(v) for v in _adjoint(inst, traj, lam)), eta=tuple(eta))
+        eta[k - 1] = (inst.A[k] + inst.B[k] @ sched.K[k]).T @ eta[k]
+    return CostateSequence(p=ro(_adjoint(inst, traj, lam)), eta=ro(eta))
 
 
 def costate_residual(inst: ProblemInstance, traj: Trajectory, lam: Array) -> float:

@@ -120,13 +120,13 @@ def check_quadratic_form_identity(cases: int, seed: int) -> int:
                                default_gaussian_spec(inst.n, inst.m),
                                seed=int(rng.integers(2 ** 63)))
         gamma = terminal_targets(ds, inst)
-        qm, _ = fit_stage(ds, gamma)
+        Lam, _, _ = fit_stage(ds, gamma)
         for z in np.hstack([ds.X, ds.U, ds.L]):
-            direct = z @ qm.Lambda @ z
-            packed = regressor_row(z) @ qm.nu
+            direct = z @ Lam @ z
+            packed = regressor_row(z) @ pack_symmetric(Lam)
             # identical sums in a different order; allow only the
             # reordering rounding floor
-            scale = max(1.0, np.abs(z[:, None] * qm.Lambda * z[None, :]).sum())
+            scale = max(1.0, np.abs(z[:, None] * Lam * z[None, :]).sum())
             assert abs(direct - packed) <= 1e-12 * scale
     return cases
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from termlq.linalg import ro, sym
 from termlq.model import ModelSchedule, ProblemInstance
-from termlq.qlearn import QMatrix, StageDataset, stage_targets
+from termlq.qlearn import StageDataset, stage_targets
 
 
 def regressor_row(z) -> np.ndarray:
@@ -29,7 +29,7 @@ def terminal_targets(ds: StageDataset, inst: ProblemInstance) -> np.ndarray:
     return stage_targets(ds, inst.Q, inst.R, inst.H, np.eye(n), np.zeros((n, n)))
 
 
-def model_qmatrix(inst: ProblemInstance, sched: ModelSchedule, k: int) -> QMatrix:
+def model_kernel(inst: ProblemInstance, sched: ModelSchedule, k: int) -> np.ndarray:
     """Stage kernel assembled from the model-based schedule (the quantity the
     fit should recover exactly on noise-free data): blocks Q + A'P(k+1)A,
     B'P(k+1)A, Gamma(k), Phi(k+1,N)A, Phi(k+1,N)B and -G(k+1)."""
@@ -48,4 +48,4 @@ def model_qmatrix(inst: ProblemInstance, sched: ModelSchedule, k: int) -> QMatri
     Lam[:n, n:n + m] = Lam[n:n + m, :n].T
     Lam[:n, n + m:] = Lam[n + m:, :n].T
     Lam[n:n + m, n + m:] = Lam[n + m:, n:n + m].T
-    return QMatrix(k=k, n=n, m=m, Lambda=ro(sym(Lam)))
+    return ro(sym(Lam))

@@ -30,7 +30,7 @@ from termlq import (
     solve_schedule,
 )
 from termlq.harness import draw_reachable_instance
-from termlq.qlearn import StageDataset, fit_stage, sample_stage_data
+from termlq.qlearn import StageDataset, fit_stage, pack_symmetric, sample_stage_data
 
 from golden import (
     GOLDEN_LEARN_SAMPLES,
@@ -79,9 +79,10 @@ def test_criterion_2_learned_coefficients_reproduced():
     t0 = time.perf_counter()
     _, learned = learn_example()
     elapsed = time.perf_counter() - t0
-    gap_last = float(np.abs(learned.qmatrices[2].nu - PRINTED_NU[2]).max())
-    gap_rest = max(float(np.abs(learned.qmatrices[1].nu - PRINTED_NU[1]).max()),
-                   float(np.abs(learned.qmatrices[0].nu - PRINTED_NU[0]).max()))
+    nu = pack_symmetric(learned.Lambda)
+    gap_last = float(np.abs(nu[2] - PRINTED_NU[2]).max())
+    gap_rest = max(float(np.abs(nu[1] - PRINTED_NU[1]).max()),
+                   float(np.abs(nu[0] - PRINTED_NU[0]).max()))
     ok = gap_last <= 1e-6 and gap_rest <= 1e-3 and elapsed < 5.0
     verdict(2, ok, f"30-sample fit: last-stage coefficients within "
                    f"{gap_last:.2e} (limit 1e-6), earlier stages within "

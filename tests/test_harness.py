@@ -160,7 +160,7 @@ class TestVerifySolution:
         assert report.input_gap <= 1e-8
         assert report.costate_gap <= 1e-8
         assert report.terminal_errors[0] == report.terminal_errors[1]
-        assert report.per_stage_condition == ()
+        assert report.per_stage_condition.shape == (0,)
 
     def test_model_vs_learned(self, example, example_schedule, example_lambda):
         ls = learn(SimulatedPlant(example), (2, 1, 2),

@@ -19,6 +19,7 @@ from termlq import (
     NotReachable,
     SingularGamma,
     StageOutOfRange,
+    ValidationError,
     check_reachability,
     make_instance,
     optimal_policy,
@@ -28,7 +29,7 @@ from termlq import (
 )
 from termlq.harness import CampaignSpec, draw_reachable_instance, random_instance
 from termlq.linalg import range_tol
-from termlq.model import ProblemInstance, riccati_backward, validate_instance
+from termlq.model import ProblemInstance, require_valid, riccati_backward
 
 from costates import costate_residual, costate_sequence, evaluate_augmented_cost
 from golden import (
@@ -52,45 +53,73 @@ def scalar_instance(x0=2.0, xi=5.0):
                          np.array([x0]), np.array([xi]))
 
 
-class CountingTuple(tuple):
-    """A tuple that counts the reads of each index, iteration included."""
-
-    def __new__(cls, items):
-        self = super().__new__(cls, items)
-        self.reads = [0] * len(self)
-        return self
+class CountingStack(np.ndarray):
+    """A stage stack that counts the reads of each stage, iteration
+    included; build one with counting_stack."""
 
     def __getitem__(self, k):
-        self.reads[k] += 1
-        return super().__getitem__(k)
+        if isinstance(k, (int, np.integer)):
+            self.reads[k] += 1
+        return np.asarray(super().__getitem__(k))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
 
+def counting_stack(stack):
+    view = stack.view(CountingStack)
+    view.reads = [0] * len(stack)
+    return view
+
+
 class TestValidation:
     def test_example_instance_passes(self, example):
-        report = validate_instance(example)
-        assert report.ok
-        assert not report.failures()
+        require_valid(example)
 
     def test_zero_r_reports_eigenvalue(self):
         inst = make_instance([np.eye(1)], [np.eye(1)], np.eye(1),
                              np.zeros((1, 1)), np.eye(1),
                              np.array([0.0]), np.array([0.0]))
-        report = validate_instance(inst)
-        assert not report.ok
-        (fail,) = report.failures()
-        assert fail.name == "R_pd"
-        assert float(fail.detail.split()[-1]) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(ValidationError, match="instance check 'R_pd' failed") as err:
+            require_valid(inst)
+        assert float(str(err.value).split()[-1]) == pytest.approx(0.0, abs=1e-15)
 
     def test_short_a_sequence_fails_dimension(self, example):
         inst = ProblemInstance(N=2, n=2, m=1, A=example.A[:2], B=example.B,
                                Q=example.Q, R=example.R, H=example.H,
                                x0=example.x0, xi=example.xi)
-        report = validate_instance(inst)
-        assert not report.ok
-        assert any(c.name == "A_length" for c in report.failures())
+        with pytest.raises(ValidationError, match="instance check 'A_length' failed"):
+            require_valid(inst)
+
+    @pytest.mark.parametrize("A,B,message", [
+        ([np.eye(2), np.eye(3), np.eye(2)], [np.ones((2, 1))] * 3,
+         r"'A_shape' failed: A\[1\] has shape \(3, 3\)"),
+        ([np.eye(2)] * 3, [np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 1))],
+         r"'B_shape' failed: B\[1\] has shape \(2, 2\)"),
+        ([np.eye(2), np.eye(3), np.eye(2)], [np.ones((2, 1))] * 2,
+         r"'B_length' failed: len\(B\)=2, expected 3"),
+        ([np.eye(2)] * 3, [], r"'input_dim' failed: m=0"),
+    ])
+    def test_unequal_stage_shapes_fail_their_check(self, A, B, message):
+        # stage matrices that cannot stack fail the same check, with the
+        # same text, as every other instance
+        with pytest.raises(ValidationError, match=message):
+            require_valid(make_instance(A, B, np.eye(2), np.eye(1), np.eye(2),
+                                        np.ones(2), np.ones(2)))
+
+    def test_stage_quantities_are_read_only_stacks(self, example, example_schedule,
+                                                   example_lambda):
+        traj = rollout(example, optimal_policy(example_schedule,
+                                             example_lambda.lambda_star))
+        sched = example_schedule
+        shapes = {"A": (example.A, (3, 2, 2)), "B": (example.B, (3, 2, 1)),
+                  "P": (sched.P, (4, 2, 2)), "Gamma": (sched.Gamma, (3, 1, 1)),
+                  "K": (sched.K, (3, 1, 2)), "K1": (sched.K1, (3, 1, 2)),
+                  "Phi": (sched.Phi, (4, 2, 2)), "G": (sched.G, (4, 2, 2)),
+                  "states": (traj.states, (4, 2)), "inputs": (traj.inputs, (3, 1))}
+        for name, (stack, shape) in shapes.items():
+            assert isinstance(stack, np.ndarray) and stack.shape == shape, name
+            assert not stack.flags.writeable, name
 
 
 class TestRiccatiBackward:
@@ -118,7 +147,7 @@ class TestRiccatiBackward:
 
     def test_indefinite_gamma_rejected(self):
         # R = -1 slips past nothing: construct the raw instance directly
-        inst = ProblemInstance(N=0, n=1, m=1, A=(np.eye(1),), B=(np.eye(1),),
+        inst = ProblemInstance(N=0, n=1, m=1, A=np.ones((1, 1, 1)), B=np.ones((1, 1, 1)),
                                Q=np.zeros((1, 1)), R=-np.eye(1),
                                H=np.zeros((1, 1)), x0=np.zeros(1), xi=np.zeros(1))
         with pytest.raises(SingularGamma):
@@ -215,7 +244,7 @@ class TestSchedule:
         for k in range(example.N + 2):
             M = np.eye(example.n)
             for j in range(example.N, k - 1, -1):
-                M = M @ sched.Ac[j]
+                M = M @ (example.A[j] + example.B[j] @ sched.K[j])
             npt.assert_allclose(sched.Phi[k], M, rtol=1e-13, atol=1e-13)
 
     def test_gramian_recursion(self, example, example_schedule):
@@ -269,7 +298,7 @@ class TestReachability:
         # B(k) a fixed number of times, where per-stage products read A(N)
         # once for each k
         inst = random_instance(np.random.default_rng(0), 2, 1, 64)
-        A, B = CountingTuple(inst.A), CountingTuple(inst.B)
+        A, B = counting_stack(inst.A), counting_stack(inst.B)
         check_reachability(dataclasses.replace(inst, A=A, B=B))
         assert max(A.reads) <= 2
         assert max(B.reads) <= 2
@@ -278,7 +307,7 @@ class TestReachability:
     @pytest.mark.parametrize("N", [0, 3, 16, 128])
     def test_matches_reference_gramian(self, n, m, N):
         inst = random_instance(np.random.default_rng([n, m, N]), n, m, N)
-        inst = dataclasses.replace(inst, A=tuple(a / (2 * np.sqrt(n)) for a in inst.A))
+        inst = dataclasses.replace(inst, A=inst.A / (2 * np.sqrt(n)))
         res = check_reachability(inst)
         reachable, G1, zeta = reference_reachability(inst)
         assert res.reachable == reachable
@@ -413,8 +442,8 @@ class TestCostate:
         npt.assert_allclose(cs.p[2], example.H @ traj.states[3] + lam, rtol=1e-14)
         npt.assert_array_equal(cs.eta[2], lam)
         for k in range(example.N, 0, -1):
-            npt.assert_allclose(cs.eta[k - 1],
-                                example_schedule.Ac[k].T @ cs.eta[k], rtol=1e-14)
+            Ac = example.A[k] + example.B[k] @ example_schedule.K[k]
+            npt.assert_allclose(cs.eta[k - 1], Ac.T @ cs.eta[k], rtol=1e-14)
             npt.assert_allclose(cs.eta[k - 1],
                                 example_schedule.Phi[k].T @ lam,
                                 rtol=1e-12, atol=1e-12)

@@ -14,6 +14,7 @@ from termlq import (
     RankDeficient,
     SimulatedPlant,
     SingularBlock,
+    StageOutOfRange,
     default_gaussian_spec,
     learn,
     learned_policy,
@@ -25,7 +26,7 @@ from termlq import (
 )
 from termlq.harness import draw_reachable_instance
 from termlq.qlearn import (
-    QMatrix,
+    RESIDUAL_WARN_RTOL,
     ReplayLog,
     StageDataset,
     extract_stage,
@@ -46,7 +47,7 @@ from golden import (
     PRINTED_NU,
     PRINTED_P,
 )
-from qkernels import model_qmatrix, regressor_row, terminal_targets
+from qkernels import model_kernel, regressor_row, terminal_targets
 
 DIST2 = default_gaussian_spec(2, 1)
 
@@ -185,15 +186,15 @@ class TestFitStage:
         ds = sample_stage_data(SimulatedPlant(example), 2, GOLDEN_LEARN_SAMPLES,
                                DIST2, seed=GOLDEN_LEARN_SEED)
         gamma = terminal_targets(ds, example)
-        qm, diag = fit_stage(ds, gamma)
-        npt.assert_allclose(qm.nu, PRINTED_NU[2], atol=1e-6)
-        assert diag.residual <= 1e-8
-        assert not diag.high_residual
+        Lam, residual, _ = fit_stage(ds, gamma)
+        npt.assert_allclose(pack_symmetric(Lam), PRINTED_NU[2], atol=1e-6)
+        assert residual <= 1e-8
+        assert residual <= RESIDUAL_WARN_RTOL * np.linalg.norm(gamma)
 
     def test_zero_targets_give_zero_kernel(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 2, 15, DIST2, seed=1)
-        qm, _ = fit_stage(ds, np.zeros(15))
-        npt.assert_allclose(qm.Lambda, 0.0, atol=1e-14)
+        Lam, _, _ = fit_stage(ds, np.zeros(15))
+        npt.assert_allclose(Lam, 0.0, atol=1e-14)
 
     def test_synthetic_kernel_round_trip(self, example):
         rng = np.random.default_rng(12)
@@ -201,8 +202,8 @@ class TestFitStage:
         target = (S + S.T) / 2.0
         ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=2)
         gamma = np.array([z @ target @ z for z in np.hstack([ds.X, ds.U, ds.L])])
-        qm, _ = fit_stage(ds, gamma)
-        npt.assert_allclose(qm.Lambda, target, atol=1e-9)
+        Lam, _, _ = fit_stage(ds, gamma)
+        npt.assert_allclose(Lam, target, atol=1e-9)
 
     def test_duplicate_rows_lose_rank(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 0, 15, DIST2, seed=4)
@@ -215,17 +216,16 @@ class TestFitStage:
     def test_order_invariance(self, example):
         ds = sample_stage_data(SimulatedPlant(example), 2, 25, DIST2, seed=6)
         gamma = terminal_targets(ds, example)
-        qm, _ = fit_stage(ds, gamma)
+        Lam, _, _ = fit_stage(ds, gamma)
         perm = np.random.default_rng(7).permutation(25)
         shuffled = rows(ds, perm)
-        qm2, _ = fit_stage(shuffled, gamma[perm])
-        npt.assert_allclose(qm2.nu, qm.nu, atol=1e-10)
+        Lam2, _, _ = fit_stage(shuffled, gamma[perm])
+        npt.assert_allclose(pack_symmetric(Lam2), pack_symmetric(Lam), atol=1e-10)
 
 
 class TestExtractStage:
     def test_example_terminal_extraction(self, example):
-        qm = QMatrix(k=2, n=2, m=1, Lambda=unpack_symmetric(PRINTED_NU[2], 5))
-        ex = extract_stage(qm, G_next=np.zeros((2, 2)))
+        ex = extract_stage(2, unpack_symmetric(PRINTED_NU[2], 5), G_next=np.zeros((2, 2)))
         npt.assert_allclose(ex.K, PRINTED_K[2], atol=1e-3)
         npt.assert_allclose(ex.K1, PRINTED_K1[2], atol=1e-3)
         npt.assert_allclose(ex.P, PRINTED_P[2], atol=1e-3)
@@ -235,8 +235,7 @@ class TestExtractStage:
         Lam[:2, :2] = np.array([[2.0, 1.0], [1.0, 3.0]])
         Lam[2, 2] = 4.0
         Lam[3:, 3:] = -np.eye(2)
-        qm = QMatrix(k=0, n=2, m=1, Lambda=Lam)
-        ex = extract_stage(qm, G_next=np.eye(2))
+        ex = extract_stage(0, Lam, G_next=np.eye(2))
         npt.assert_array_equal(ex.K, np.zeros((1, 2)))
         npt.assert_array_equal(ex.K1, np.zeros((1, 2)))
         npt.assert_array_equal(ex.P, Lam[:2, :2])
@@ -244,8 +243,8 @@ class TestExtractStage:
 
     def test_model_assembled_round_trip(self, example, example_schedule):
         for k in range(example.N + 1):
-            qm = model_qmatrix(example, example_schedule, k)
-            ex = extract_stage(qm, G_next=example_schedule.G[k + 1])
+            Lam = model_kernel(example, example_schedule, k)
+            ex = extract_stage(k, Lam, G_next=example_schedule.G[k + 1])
             npt.assert_allclose(ex.K, example_schedule.K[k], atol=1e-10)
             npt.assert_allclose(ex.K1, example_schedule.K1[k], atol=1e-10)
             npt.assert_allclose(ex.P, example_schedule.P[k], atol=1e-10)
@@ -253,10 +252,8 @@ class TestExtractStage:
             npt.assert_allclose(ex.G, example_schedule.G[k], atol=1e-10)
 
     def test_indefinite_input_block_refused(self):
-        Lam = np.zeros((5, 5))
-        qm = QMatrix(k=0, n=2, m=1, Lambda=Lam)
         with pytest.raises(SingularBlock):
-            extract_stage(qm, G_next=np.zeros((2, 2)))
+            extract_stage(0, np.zeros((5, 5)), G_next=np.zeros((2, 2)))
 
 
 class TestLearn:
@@ -266,19 +263,38 @@ class TestLearn:
         for k in (0, 1, 2):
             npt.assert_allclose(ls.K[k], PRINTED_K[k], atol=1e-3)
             npt.assert_allclose(ls.K1[k], PRINTED_K1[k], atol=1e-3)
-            npt.assert_allclose(ls.qmatrices[k].nu, PRINTED_NU[k], atol=1e-3)
+            npt.assert_allclose(pack_symmetric(ls.Lambda[k]), PRINTED_NU[k], atol=1e-3)
         npt.assert_allclose(ls.lambda_star, example_lambda.lambda_star, atol=1e-9)
 
     def test_exact_recovery_of_model_kernels(self, example, example_schedule):
         ls = example_learned(example)
         for k in range(example.N + 1):
-            expected = model_qmatrix(example, example_schedule, k).Lambda
-            npt.assert_allclose(ls.qmatrices[k].Lambda, expected, atol=1e-8)
+            expected = model_kernel(example, example_schedule, k)
+            npt.assert_allclose(ls.Lambda[k], expected, atol=1e-8)
 
     def test_learned_controller_reaches_target(self, example):
         ls = example_learned(example)
         traj = rollout(example, learned_policy(ls))
         assert traj.terminal_error <= 1e-6
+
+    def test_learned_policy_rejects_out_of_range_stage(self, example):
+        policy = learned_policy(example_learned(example))
+        for k in (-1, example.N + 1):
+            with pytest.raises(StageOutOfRange, match=f"stage {k} outside 0..2"):
+                policy(k, example.x0)
+
+    def test_schedule_is_read_only_stacks(self, example):
+        ls = example_learned(example)
+        fit = ls.fit_diagnostics
+        shapes = {"Lambda": (ls.Lambda, (3, 5, 5)), "K": (ls.K, (3, 1, 2)),
+                  "K1": (ls.K1, (3, 1, 2)), "P": (ls.P, (4, 2, 2)),
+                  "Phi": (ls.Phi, (4, 2, 2)), "G": (ls.G, (4, 2, 2)),
+                  "residual": (fit.residual, (3,)), "cond": (fit.cond, (3,)),
+                  "high_residual": (fit.high_residual, (3,))}
+        for name, (stack, shape) in shapes.items():
+            assert isinstance(stack, np.ndarray) and stack.shape == shape, name
+            assert not stack.flags.writeable, name
+        assert not fit.high_residual.any()
 
     def test_matches_model_on_random_instances(self):
         rng = np.random.default_rng(21)
@@ -313,9 +329,9 @@ class TestLearn:
         ls = example_learned(inst)
         ds = sample_stage_data(SimulatedPlant(inst), inst.N, GOLDEN_LEARN_SAMPLES,
                                DIST2, seed=GOLDEN_LEARN_SEED)
-        qm, diag = fit_stage(ds, terminal_targets(ds, inst))
-        npt.assert_array_equal(ls.qmatrices[inst.N].Lambda, qm.Lambda)
-        assert ls.fit_diagnostics[inst.N].residual == diag.residual
+        Lam, residual, _ = fit_stage(ds, terminal_targets(ds, inst))
+        npt.assert_array_equal(ls.Lambda[inst.N], Lam)
+        assert ls.fit_diagnostics.residual[inst.N] == residual
         npt.assert_array_equal(ls.P[inst.N + 1], (H + H.T) / 2.0)
 
     def test_unreachable_target_raises(self, example):
@@ -364,6 +380,4 @@ class TestReplayLog:
                          GOLDEN_LEARN_SAMPLES, DIST2, seed=GOLDEN_LEARN_SEED)
         from_plant = example_learned(example)
         npt.assert_array_equal(from_log.lambda_star, from_plant.lambda_star)
-        for k in range(example.N + 1):
-            npt.assert_array_equal(from_log.qmatrices[k].Lambda,
-                                   from_plant.qmatrices[k].Lambda)
+        npt.assert_array_equal(from_log.Lambda, from_plant.Lambda)
