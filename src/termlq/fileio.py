@@ -210,15 +210,13 @@ def write_report(report: dict, path: str | Path) -> None:
 
 
 def instance_hash(inst: ProblemInstance) -> str:
-    """SHA-256 of the canonical instance serialization."""
-    doc = {
-        "n": inst.n, "m": inst.m, "N": inst.N,
-        "A": inst.A.tolist(),
-        "B": inst.B.tolist(),
-        "Q": inst.Q.tolist(), "R": inst.R.tolist(), "H": inst.H.tolist(),
-        "x0": inst.x0.tolist(), "xi": inst.xi.tolist(),
-    }
-    return hashlib.sha256(dumps_report(doc).encode()).hexdigest()
+    """SHA-256 of the instance data: (n, m, N) as little-endian int64, then
+    the little-endian float64 bytes of A, B, Q, R, H, x0 and xi in that
+    order. A validated instance is finite, and -0.0 and 0.0 hash apart."""
+    digest = hashlib.sha256(np.array([inst.n, inst.m, inst.N], dtype="<i8").tobytes())
+    for a in (inst.A, inst.B, inst.Q, inst.R, inst.H, inst.x0, inst.xi):
+        digest.update(np.asarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def read_replay_log(path: str | Path, n: int, m: int) -> ReplayLog:

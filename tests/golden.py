@@ -65,4 +65,4 @@ EXACT_COST = 569.6978969505785
 EXACT_G2 = np.array([[16.0, 8.0], [8.0, 4.0]]) / 21.0
 
 FIXTURE_PATH = "fixtures/example_instance.json"
-FIXTURE_HASH = "1dadd9aef17433153dfafb618291dec9a925c3e368907e1e6bb796cab6f46d2a"
+FIXTURE_HASH = "78b6035719ca0dcba6fc7e135be8b8a1696f20419e15009e55654b31911bbdd7"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -213,8 +214,9 @@ def instance_doc(inst):
 
 
 class TestReferenceSerializer:
-    """dumps_report and instance_hash against the per-element reference in
-    tests/reference_report.py, on the reports the command line writes."""
+    """dumps_report against the per-element reference in
+    tests/reference_report.py, on the reports the command line writes, and
+    instance_hash against the bytes it hashes, packed by struct."""
 
     def _reports(self, argv, capsys, monkeypatch):
         seen = []
@@ -248,8 +250,12 @@ class TestReferenceSerializer:
 
     def test_instance_hash_matches_reference(self, example):
         for inst in (example, long_instance()):
-            text = reference_dumps_report(instance_doc(inst))
-            assert instance_hash(inst) == hashlib.sha256(text.encode()).hexdigest()
+            floats = []
+            for key in ("A", "B", "Q", "R", "H", "x0", "xi"):
+                floats += np.ravel(instance_doc(inst)[key]).tolist()
+            data = (struct.pack("<3q", inst.n, inst.m, inst.N)
+                    + struct.pack(f"<{len(floats)}d", *floats))
+            assert instance_hash(inst) == hashlib.sha256(data).hexdigest()
 
 
 class TestInstanceHash:
@@ -260,6 +266,23 @@ class TestInstanceHash:
         moved = example_instance()
         object.__setattr__(moved, "xi", np.array([6.0, 7.0 + 1e-12]))
         assert instance_hash(moved) != instance_hash(example)
+
+    def test_hash_survives_an_instance_file_round_trip(self, tmp_path):
+        inst = long_instance()
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps(instance_doc(inst)))
+        assert instance_hash(load_instance_file(p).instance) == instance_hash(inst)
+
+    def test_signed_zero_changes_the_hash(self, example):
+        # the float64 bytes tell -0.0 from 0.0, as the report text does
+        x0 = example.x0.copy()
+        x0[0] = 0.0
+        positive = make_instance(example.A, example.B, example.Q, example.R,
+                                 example.H, x0, example.xi)
+        x0[0] = -0.0
+        negative = make_instance(example.A, example.B, example.Q, example.R,
+                                 example.H, x0, example.xi)
+        assert instance_hash(positive) != instance_hash(negative)
 
 
 class TestReplayLogFile:

@@ -48,16 +48,16 @@ RUNS = {
 }
 
 DIGESTS = {
-    "fixture-solve": "c041928982dbc233e8de9071a876e0a6ee1e097f524a2684f3136fff4207cbc6",
-    "fixture-learn": "2ea25d2ff72d68b6132e115ad2568573b6d06793577a3fb49c52dffb036afac4",
-    "fixture-verify": "b75149851fd53cf61ca1a18a33f6d0d10d9ceee579004fd8313f577a80cfcf9f",
-    "fixture-reach": "d8f2770dde73a2b815fbb21841d83275b952a3e7bda5c300409a19da3faa366e",
-    "native-solve": "d5268481776389858c9b1460abd65a57a6c9435a90da5a999af3f3247a1c8181",
-    "native-learn": "06090b80277d9e98307db592390ad5da92a22a97952e5795e14dfb93bb056b2c",
-    "native-verify": "3dec1efcf6fb69fa31a4f8b6d44b3460cc46570fff13b223b5d86611e61ac945",
-    "scaled-solve": "a88cf32bdd0e03c2402bbefa0faf092fdcc121721d06e146abfc3af9887606da",
-    "scaled-learn": "bea98a2f2b6407b5c43bd28610f734581c19f287eaaa2cf4204aad5e8b0abdba",
-    "scaled-verify": "23524006f2af751837f3ffb045c1c3d4850840738357969559f9bf5c25d1d458",
+    "fixture-solve": "8dbc6362ef4b3ec39c2260ec30ce25d02e98a0871bbcdc248f7c3716f0f16ac3",
+    "fixture-learn": "1ee6d85a07bceb0475b2165812cdcbb97fb4eb1fd8491de759e2e22dbf624154",
+    "fixture-verify": "b84ef16fc76bb3dfa77174779d58264818427d15d1a44d26a01aa96949e49139",
+    "fixture-reach": "2b862577ef50c2c025ac13c92d24330544ec22e76ed3cf25274e445411477596",
+    "native-solve": "52c76be4ba9ae2b7acf36fe253c0366da707b56e10c9ef47a45d636d9cd73829",
+    "native-learn": "049ef4a3caf5b9c6213b645ecf0ca808c789934a3713350addb87a7e32e1ec71",
+    "native-verify": "14d34faa86b60e9821c9bfaf4366035bf9906f506bc2350decd25ec6ae6c96e4",
+    "scaled-solve": "c9c8b09acdb33349ee6c23edb8fc5fef6a6f618410f48f81aa3601db67b10924",
+    "scaled-learn": "7a0991336941cad792ef306375b4d0c4117b0c805e932c29048de2441ade1ef1",
+    "scaled-verify": "39b774f980ef88d8eb2ddf20c2c1f79112aae57de95784cde38fa25d9f92e2de",
     "campaign": "b44c4fe3f89a624f1817fc200151aad2d28f370edcf79fc408a6bd9aa5b45ca1",
 }
 
