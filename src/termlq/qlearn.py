@@ -7,7 +7,9 @@ Lambda(k) of the quadratic form
 
     q(x, u, lam) = z' Lambda(k) z,   z = (x, u, lambda)
 
-by linear least squares on the packed upper triangle. Feedback and
+by linear least squares on the packed upper triangle: one square system
+per stage, whose singular values give the rank verdict and the condition
+number and whose LU solve gives the coefficients. Feedback and
 feedforward gains, the value kernels P(k), the closed-loop products
 Phi(k,N), the Gramian G(k), and finally the multiplier lambda* all come out
 of the fitted blocks; the backward pass carries only learned quantities.
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientSamples, NotReachable, OracleMiss, RankDeficient, SingularBlock
-from .linalg import Array, RANK_RTOL, is_pd, min_norm_solve, range_tol, ro, sym
+from .linalg import Array, is_pd, min_norm_solve, range_tol, rank_cutoff, ro, sym
 from .model import ProblemInstance, optimal_policy
 
 # fitted residuals above this fraction of ||gamma|| get flagged
@@ -152,12 +154,10 @@ def regressor_matrix(Z: Array) -> Array:
     triangle of z z' for z = Z[r] in row-major order, diagonal entries z_j^2
     and off-diagonal entries 2 z_i z_j, so that row . nu = z' Lambda z when
     nu packs Lambda's upper triangle entrywise."""
-    l, d = Z.shape
-    iu = np.triu_indices(d)
-    prods = Z[:, :, None] * Z[:, None, :]
-    scale = np.full((d, d), 2.0)
-    np.fill_diagonal(scale, 1.0)
-    return (prods * scale)[:, iu[0], iu[1]]
+    i, j = np.triu_indices(Z.shape[1])
+    Ups = Z[:, i] * Z[:, j]
+    Ups *= np.where(i == j, 1.0, 2.0)
+    return Ups
 
 
 def pack_symmetric(M: Array) -> Array:
@@ -240,21 +240,33 @@ def stage_targets(ds: StageDataset, Q: Array, R: Array, P_next: Array,
 def fit_stage(ds: StageDataset, gamma: Array) -> tuple[Array, float, float]:
     """Least-squares fit of the packed kernel coefficients.
 
-    Solves argmin ||Ups nu - gamma||_2 by singular value decomposition (not
-    the normal equations) and returns (Lambda(k), residual 2-norm, regressor
-    condition number), with nu unpacked into the symmetric Lambda(k). Raises
-    RankDeficient when Ups loses column rank at the shared cutoff.
+    Solves argmin ||Ups nu - gamma||_2 as one square p x p system, p =
+    sample_threshold(n, m): Ups itself at the threshold, or above it the
+    reduced QR factor R of Ups against Q' gamma, which has the same singular
+    values and the same least-squares solution. The singular values give
+    the rank at the shared cutoff and the regressor condition number; an LU
+    solve then gives nu (never the normal equations). Returns (Lambda(k),
+    residual 2-norm ||Ups nu - gamma||, regressor condition number), with nu
+    unpacked into the symmetric Lambda(k). Raises RankDeficient, before any
+    solve, when Ups loses column rank at the shared cutoff.
     """
     n, m = ds.X.shape[1], ds.U.shape[1]
     need = sample_threshold(n, m)
     Ups = regressor_matrix(np.hstack([ds.X, ds.U, ds.L]))
-    rcond = max(Ups.shape) * RANK_RTOL
-    nu, _, rank, sv = np.linalg.lstsq(Ups, gamma, rcond=rcond)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    # above the threshold, reduce to R and Q' gamma; below it M stays short,
+    # and the rank test rejects it
+    M, b = Ups, gamma
+    if len(Ups) > need:
+        Qr, M = np.linalg.qr(Ups)
+        b = Qr.T @ gamma
+    s = np.linalg.svd(M, compute_uv=False)
+    rank = int((s > rank_cutoff(Ups, s)).sum())
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
     if rank < need:
         raise RankDeficient(
             f"stage {ds.k} regressor rank {rank} < {need}",
-            rank=int(rank), cond=cond)
+            rank=rank, cond=cond)
+    nu = np.linalg.solve(M, b)
     residual = float(np.linalg.norm(Ups @ nu - gamma))
     return unpack_symmetric(nu, 2 * n + m), residual, cond
 

@@ -24,7 +24,8 @@ from termlq import (
     solve_lambda,
     solve_schedule,
 )
-from termlq.harness import draw_reachable_instance
+from termlq.harness import draw_reachable_instance, verify_solution
+from termlq.linalg import RANK_RTOL
 from termlq.qlearn import (
     RESIDUAL_WARN_RTOL,
     ReplayLog,
@@ -48,6 +49,7 @@ from golden import (
     PRINTED_P,
 )
 from qkernels import model_kernel, regressor_row, terminal_targets
+from reference_fit import lstsq_fit, outer_product_regressor
 
 DIST2 = default_gaussian_spec(2, 1)
 
@@ -223,6 +225,79 @@ class TestFitStage:
         npt.assert_allclose(pack_symmetric(Lam2), pack_symmetric(Lam), atol=1e-10)
 
 
+class TestReferenceFit:
+    """fit_stage against the lstsq fit it replaced, on campaign-style draws:
+    reachable instances from the default campaign ranges, a random stage,
+    and targets from the model schedule. Each draw fits l = p (Ups square),
+    l = p + 10 (the QR path), l = p - 1, and p - 1 distinct rows padded by
+    duplicates to l = p and to l = p + 10."""
+
+    DRAWS = 200
+    # |Lambda - Lambda_ref|max <= LAMBDA_FACTOR eps cond max(1, |Lambda_ref|max);
+    # the largest factor measured over 4,400 such draws, in both full-rank
+    # cases and under the auto-detected and the Nehalem OpenBLAS kernels,
+    # was 10.2 (1.3e-12 relative at cond 8.5e4)
+    LAMBDA_FACTOR = 64.0
+
+    @staticmethod
+    def outcome(fit, ds, gamma):
+        try:
+            return fit(ds, gamma)
+        except RankDeficient as err:
+            return err
+
+    def draws(self):
+        for t in range(self.DRAWS):
+            rng = np.random.default_rng(np.random.SeedSequence((1313, t)))
+            inst = draw_reachable_instance(rng, (1, 4), (1, 2), (0, 8))
+            sched = solve_schedule(inst)
+            k = int(rng.integers(0, inst.N + 1))
+            p = sample_threshold(inst.n, inst.m)
+            ds = sample_stage_data(SimulatedPlant(inst), k, p + 10,
+                                   default_gaussian_spec(inst.n, inst.m), seed=t)
+            cases = {"square": list(range(p)), "over": list(range(p + 10)),
+                     "short": list(range(p - 1)),
+                     "duplicate-square": list(range(p - 1)) + [0],
+                     "duplicate-over": list(range(p - 1)) + [0] * 11}
+            for case, idx in cases.items():
+                sub = rows(ds, idx)
+                yield case, sub, stage_targets(sub, inst.Q, inst.R, sched.P[k + 1],
+                                               sched.Phi[k + 1], sched.G[k + 1])
+
+    def test_verdicts_cond_and_kernel_match_lstsq(self):
+        eps = np.finfo(float).eps
+        seen = set()
+        for case, ds, gamma in self.draws():
+            got, ref = self.outcome(fit_stage, ds, gamma), self.outcome(lstsq_fit, ds, gamma)
+            assert type(got) is type(ref), case
+            full_rank = case in ("square", "over")
+            assert isinstance(got, tuple) == full_rank, case
+            if full_rank:
+                (Lam, residual, cond), (Lam_ref, _, cond_ref) = got, ref
+                bound = self.LAMBDA_FACTOR * eps * cond_ref * max(1.0, np.abs(Lam_ref).max())
+                assert np.abs(Lam - Lam_ref).max() <= bound, case
+                assert residual == np.linalg.norm(
+                    regressor_matrix(np.hstack([ds.X, ds.U, ds.L]))
+                    @ pack_symmetric(Lam) - gamma)
+            else:
+                assert got.rank == ref.rank, case
+                cond, cond_ref = got.cond, ref.cond
+            if case.startswith("duplicate"):
+                # sigma_min sits at roundoff level, so cond is noise past the cutoff
+                floor = 1.0 / (len(ds.X) * RANK_RTOL)
+                assert cond >= floor and cond_ref >= floor, case
+            else:
+                assert cond == pytest.approx(cond_ref, rel=1e-12), case
+            seen.add(case)
+        assert len(seen) == 5
+
+    def test_regressor_matches_outer_product_form(self):
+        rng = np.random.default_rng(13)
+        for d in (1, 3, 5, 8, 20):
+            Z = rng.standard_normal((sample_threshold(d, 0) + 3, d))
+            npt.assert_array_equal(regressor_matrix(Z), outer_product_regressor(Z))
+
+
 class TestExtractStage:
     def test_example_terminal_extraction(self, example):
         ex = extract_stage(2, unpack_symmetric(PRINTED_NU[2], 5), G_next=np.zeros((2, 2)))
@@ -381,3 +456,32 @@ class TestReplayLog:
         from_plant = example_learned(example)
         npt.assert_array_equal(from_log.lambda_star, from_plant.lambda_star)
         npt.assert_array_equal(from_log.Lambda, from_plant.Lambda)
+
+
+class TestLongHorizonGains:
+    """Native (3, 2, 64) verify instances whose threshold fits once missed
+    the 1e-8 learned-gain bound: (pool seed, op) pairs, the instance being
+    draw op mod 64 of default_rng(SeedSequence((seed, 1))) and the learn
+    seed the op index. The lstsq fit gave max_gain_error 1.0e-8, 1.4e-8 and
+    5.7e-8 on them."""
+
+    DIMS = (3, 2, 64)
+    POOL = 64
+
+    def pool_instance(self, seed, index):
+        n, m, N = self.DIMS
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+        for _ in range(index + 1):
+            A = rng.standard_normal((N + 1, n, n))
+            B = rng.standard_normal((N + 1, n, m))
+            x0, xi = rng.standard_normal(n), rng.standard_normal(n)
+        return make_instance(A, B, np.eye(n), np.eye(m), np.eye(n), x0, xi)
+
+    @pytest.mark.parametrize("seed, op", [(8, 226), (9, 182), (13, 198)])
+    def test_learned_gains_within_bound(self, seed, op):
+        inst = self.pool_instance(seed, op % self.POOL)
+        sched = solve_schedule(inst)
+        lamsol = solve_lambda(sched, inst)
+        learned = learn(SimulatedPlant(inst), self.DIMS, (inst.Q, inst.R, inst.H),
+                        inst.x0, inst.xi, sample_threshold(3, 2), None, seed=op)
+        assert verify_solution(inst, sched, lamsol, learned).max_gain_error <= 1e-8

@@ -49,16 +49,16 @@ RUNS = {
 
 DIGESTS = {
     "fixture-solve": "8dbc6362ef4b3ec39c2260ec30ce25d02e98a0871bbcdc248f7c3716f0f16ac3",
-    "fixture-learn": "1ee6d85a07bceb0475b2165812cdcbb97fb4eb1fd8491de759e2e22dbf624154",
-    "fixture-verify": "b84ef16fc76bb3dfa77174779d58264818427d15d1a44d26a01aa96949e49139",
+    "fixture-learn": "2509f601fce2f9f9723774e929908f0bcc706fb396edc23bbefbd3b8d6fe76fd",
+    "fixture-verify": "b56b9931de9a830cec862d2938c21b41c2944b4e5f01c78f0d30ac4526cf6b7b",
     "fixture-reach": "2b862577ef50c2c025ac13c92d24330544ec22e76ed3cf25274e445411477596",
     "native-solve": "52c76be4ba9ae2b7acf36fe253c0366da707b56e10c9ef47a45d636d9cd73829",
-    "native-learn": "049ef4a3caf5b9c6213b645ecf0ca808c789934a3713350addb87a7e32e1ec71",
-    "native-verify": "14d34faa86b60e9821c9bfaf4366035bf9906f506bc2350decd25ec6ae6c96e4",
+    "native-learn": "969d98e2b8406a1ede0f2d27f630b8a3c77a1c542336f4130f0191f97c9c52ac",
+    "native-verify": "a98dfe4502992344dab493f5c1924a5b610800e0e7e2fab3c0509e5ebc5411ff",
     "scaled-solve": "c9c8b09acdb33349ee6c23edb8fc5fef6a6f618410f48f81aa3601db67b10924",
-    "scaled-learn": "7a0991336941cad792ef306375b4d0c4117b0c805e932c29048de2441ade1ef1",
-    "scaled-verify": "39b774f980ef88d8eb2ddf20c2c1f79112aae57de95784cde38fa25d9f92e2de",
-    "campaign": "b44c4fe3f89a624f1817fc200151aad2d28f370edcf79fc408a6bd9aa5b45ca1",
+    "scaled-learn": "9459aed5561d5e18b520f2e2b100f948f2fcd0a48390f0abb17491761f7446f7",
+    "scaled-verify": "e7f8cbdf70ddf5d01269ca38196e860612393b63ec9a98cf17bcaee9bf138372",
+    "campaign": "1cce82c316b147f0ad9901875edb57e2b1f307ce07f3859adbbb9be5af6cdc64",
 }
 
 
