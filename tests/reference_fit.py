@@ -14,7 +14,7 @@ from termlq.qlearn import StageDataset, sample_threshold, unpack_symmetric
 
 def outer_product_regressor(Z) -> np.ndarray:
     """regressor_matrix through the (l, d, d) stack of outer products z z'."""
-    l, d = Z.shape
+    d = Z.shape[1]
     iu = np.triu_indices(d)
     prods = Z[:, :, None] * Z[:, None, :]
     scale = np.full((d, d), 2.0)
