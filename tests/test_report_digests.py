@@ -1,8 +1,9 @@
 """Frozen sha256 digests of the report bytes of a fixed set of CLI runs.
 
 The runs cover the fixture (solve, learn, verify and reach), solve, learn
-and verify on one native and one scaled random (3, 2, 16) instance, and one
-campaign. They go through termlq.cli.main in one child process with the
+and verify on one native and one scaled random (3, 2, 16) instance, verify
+on one native random (3, 2, 64) instance, whose learner spans several
+blocks of stages, and one campaign. They go through termlq.cli.main in one child process with the
 environment of PINNED: BLAS and OpenMP at one thread, and OpenBLAS on its
 Nehalem kernels, the oldest set that numpy's x86-64-v2 baseline runs on.
 Both the thread count and the kernel set OpenBLAS picks for the CPU change
@@ -31,6 +32,7 @@ FIXTURE = REPO_ROOT / "fixtures" / "example_instance.json"
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
           "OPENBLAS_CORETYPE": "Nehalem"}
 RANDOM_DIMS = (3, 2, 16)
+LONG_DIMS = (3, 2, 64)
 RANDOM_SEED = 0
 
 RUNS = {
@@ -44,6 +46,7 @@ RUNS = {
     "scaled-solve": ["solve", "--instance", "{scaled}"],
     "scaled-learn": ["learn", "--instance", "{scaled}", "--seed", "7"],
     "scaled-verify": ["verify", "--instance", "{scaled}", "--seed", "7"],
+    "long-verify": ["verify", "--instance", "{long}", "--seed", "7"],
     "campaign": ["campaign", "--seed", "3", "--trials", "20"],
 }
 
@@ -58,27 +61,36 @@ DIGESTS = {
     "scaled-solve": "c9c8b09acdb33349ee6c23edb8fc5fef6a6f618410f48f81aa3601db67b10924",
     "scaled-learn": "9459aed5561d5e18b520f2e2b100f948f2fcd0a48390f0abb17491761f7446f7",
     "scaled-verify": "e7f8cbdf70ddf5d01269ca38196e860612393b63ec9a98cf17bcaee9bf138372",
+    "long-verify": "60fe5ba1cdfbc81f673cd45c392e7476fa9fc3b95bc91975d86cf4a906212399",
     "campaign": "1cce82c316b147f0ad9901875edb57e2b1f307ce07f3859adbbb9be5af6cdc64",
 }
 
 
 def write_random_instances(directory: Path) -> dict[str, Path]:
-    """One draw of standard-normal A, B, x0, xi with Q = R = H = I, written
-    with A as drawn ("native") and with A scaled by 1/(2 sqrt(n))
-    ("scaled"). json writes floats by repr, so the files parse back to these
+    """One draw of standard-normal A, B, x0, xi with Q = R = H = I per
+    dimension set: at RANDOM_DIMS written with A as drawn ("native") and with
+    A scaled by 1/(2 sqrt(n)) ("scaled"), at LONG_DIMS with A as drawn
+    ("long"). json writes floats by repr, so the files parse back to these
     exact arrays."""
     import numpy as np
 
-    n, m, N = RANDOM_DIMS
-    rng = np.random.default_rng(RANDOM_SEED)
-    A = rng.standard_normal((N + 1, n, n))
-    B = rng.standard_normal((N + 1, n, m))
-    x0, xi = rng.standard_normal(n), rng.standard_normal(n)
+    def draws(dims):
+        n, m, N = dims
+        rng = np.random.default_rng(RANDOM_SEED)
+        A = rng.standard_normal((N + 1, n, n))
+        B = rng.standard_normal((N + 1, n, m))
+        return A, B, rng.standard_normal(n), rng.standard_normal(n)
+
+    A, B, x0, xi = draws(RANDOM_DIMS)
+    runs = (("native", (A, B, x0, xi)),
+            ("scaled", (A / (2.0 * np.sqrt(RANDOM_DIMS[0])), B, x0, xi)),
+            ("long", draws(LONG_DIMS)))
     paths = {}
-    for name, A_k in (("native", A), ("scaled", A / (2.0 * np.sqrt(n)))):
-        doc = {"n": n, "m": m, "N": N, "A": A_k.tolist(), "B": B.tolist(),
+    for name, (A_k, B_k, x0_k, xi_k) in runs:
+        stages, n, m = B_k.shape
+        doc = {"n": n, "m": m, "N": stages - 1, "A": A_k.tolist(), "B": B_k.tolist(),
                "Q": np.eye(n).tolist(), "R": np.eye(m).tolist(), "H": np.eye(n).tolist(),
-               "x0": x0.tolist(), "xi": xi.tolist()}
+               "x0": x0_k.tolist(), "xi": xi_k.tolist()}
         paths[name] = directory / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     return paths
