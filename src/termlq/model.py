@@ -195,8 +195,9 @@ def riccati_backward(inst: ProblemInstance) -> tuple[Array, Array, Array]:
         okd, lo = is_pd(Gamma[k])
         if not okd:
             raise SingularGamma(f"Gamma({k}) has eigenvalue {lo:.6e}")
-        K[k] = -np.linalg.solve(Gamma[k], PB.T @ Ak)
-        P[k] = sym(inst.Q + Ak.T @ P[k + 1] @ Ak + (PB.T @ Ak).T @ K[k])
+        PBA = PB.T @ Ak
+        K[k] = -np.linalg.solve(Gamma[k], PBA)
+        P[k] = sym(inst.Q + Ak.T @ P[k + 1] @ Ak + PBA.T @ K[k])
     return ro(P), ro(Gamma), ro(K)
 
 
@@ -206,19 +207,25 @@ def build_schedule(inst: ProblemInstance, P: Array, Gamma: Array, K: Array) -> M
     With the closed loop Ac(k) = A(k) + B(k) K(k): Phi(k,N) = Ac(N) ... Ac(k)
     with Phi(N+1,N) = I; G(s) = sum_{j=s}^{N} Phi(j+1,N) Bbar(j) Phi(j+1,N)'
     with Bbar(j) = B(j) Gamma(j)^-1 B(j)'; K1(k) = -Gamma(k)^-1 B(k)' Phi(k+1,N)'.
+
+    Only the product Phi and the running sum G are stage loops; Ac, Bbar,
+    K1 and the terms of G are stacked calls over all stages.
     """
-    N, n, m = inst.N, inst.n, inst.m
+    N, n = inst.N, inst.n
+    Bt = np.swapaxes(inst.B, 1, 2)
+    Ac = inst.A + inst.B @ K
+    Bbar = inst.B @ np.linalg.solve(Gamma, Bt)
     Phi = np.empty((N + 2, n, n))
     G = np.empty((N + 2, n, n))
-    K1 = np.empty((N + 1, m, n))
     Phi[N + 1] = np.eye(n)
     G[N + 1] = 0.0
     for k in range(N, -1, -1):
-        Bk = inst.B[k]
-        Phi[k] = Phi[k + 1] @ (inst.A[k] + Bk @ K[k])
-        Bbar = Bk @ np.linalg.solve(Gamma[k], Bk.T)
-        G[k] = sym(G[k + 1] + Phi[k + 1] @ Bbar @ Phi[k + 1].T)
-        K1[k] = -np.linalg.solve(Gamma[k], Bk.T @ Phi[k + 1].T)
+        Phi[k] = Phi[k + 1] @ Ac[k]
+    Phi_next, Phi_next_t = Phi[1:], np.swapaxes(Phi[1:], 1, 2)
+    terms = Phi_next @ Bbar @ Phi_next_t
+    for k in range(N, -1, -1):
+        G[k] = sym(G[k + 1] + terms[k])
+    K1 = -np.linalg.solve(Gamma, Bt @ Phi_next_t)
     return ModelSchedule(P=P, Gamma=Gamma, K=K, K1=ro(K1), Phi=ro(Phi), G=ro(G))
 
 

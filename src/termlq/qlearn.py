@@ -13,6 +13,14 @@ number and whose LU solve gives the coefficients. Feedback and
 feedforward gains, the value kernels P(k), the closed-loop products
 Phi(k,N), the Gramian G(k), and finally the multiplier lambda* all come out
 of the fitted blocks; the backward pass carries only learned quantities.
+
+A stage's probes, and so its regressor and the singular values of its
+square system, do not depend on the backward pass: only the targets do.
+The learner therefore draws the probes and factors the regressors for a
+block of consecutive stages at a time, in stacked numpy calls, and keeps
+per stage only what the pass carries: one oracle batch, the targets, the
+rank verdict, one LU solve and the extraction, stage by stage from N down
+to 0.
 """
 
 from __future__ import annotations
@@ -22,12 +30,22 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientSamples, NotReachable, OracleMiss, RankDeficient, SingularBlock
+from .errors import (
+    InsufficientSamples,
+    NonFiniteState,
+    NotReachable,
+    OracleMiss,
+    RankDeficient,
+    SingularBlock,
+)
 from .linalg import Array, is_pd, min_norm_solve, range_tol, rank_cutoff, ro, sym
 from .model import ProblemInstance, optimal_policy
 
 # fitted residuals above this fraction of ||gamma|| get flagged
 RESIDUAL_WARN_RTOL = 1e-6
+# regressor bytes of one block of stages: learn factors max(1, BLOCK_BYTES //
+# (8 l p)) stages per stacked call, so the stack stays small at wide dims
+BLOCK_BYTES = 256 * 1024
 
 
 class TransitionOracle:
@@ -128,21 +146,29 @@ def sample_threshold(n: int, m: int) -> int:
     return d * (d + 1) // 2
 
 
-def sample_stage_data(oracle: TransitionOracle, k: int, l: int, dist: GaussianSpec,
-                      seed: int) -> StageDataset:
-    """Draw l i.i.d. Gaussian (x, u, lam) probes for stage k and record the
-    oracle's one-step answers, one batch query per stage. Deterministic
-    given (seed, k); each stage uses an independent substream."""
-    n = dist.x_mean.shape[0]
-    m = dist.u_mean.shape[0]
-    need = sample_threshold(n, m)
-    if l < need:
-        raise InsufficientSamples(f"l={l} below the identifiability threshold {need}")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(k))))
+def draw_probes(ks, l: int, dist: GaussianSpec, seed: int) -> tuple[Array, Array, Array]:
+    """Draw l i.i.d. Gaussian (x, u, lam) probes for each stage of ks.
+
+    Returns the stacks X (len(ks), l, n), U (len(ks), l, m) and
+    L (len(ks), l, n), the stages on the leading axis in the order of ks.
+    Deterministic given (seed, k): each stage draws x, then u, then lam from
+    its own substream SeedSequence((seed, k)), so a stage's probes do not
+    depend on the stages drawn with it.
+    """
+    n, m = dist.x_mean.shape[0], dist.u_mean.shape[0]
+    Zx, Zu, Zl = np.empty((len(ks), l, n)), np.empty((len(ks), l, m)), np.empty((len(ks), l, n))
+    for i, k in enumerate(ks):
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(k))))
+        for Z in (Zx, Zu, Zl):
+            rng.standard_normal(out=Z[i])
     std = float(np.sqrt(dist.covariance_scale))
-    X = dist.x_mean + std * rng.standard_normal((l, n))
-    U = dist.u_mean + std * rng.standard_normal((l, m))
-    L = dist.lam_mean + std * rng.standard_normal((l, n))
+    return dist.x_mean + std * Zx, dist.u_mean + std * Zu, dist.lam_mean + std * Zl
+
+
+def sample_stage_data(oracle: TransitionOracle, k: int, X: Array, U: Array,
+                      L: Array) -> StageDataset:
+    """Record the oracle's one-step answers to the probes (X, U, L) of stage
+    k, one batch query."""
     Xn = np.asarray(oracle.step(k, X, U), dtype=float)
     if Xn.shape != X.shape:
         raise ValueError(f"oracle answered shape {Xn.shape} for {X.shape} probe states")
@@ -150,12 +176,13 @@ def sample_stage_data(oracle: TransitionOracle, k: int, l: int, dist: GaussianSp
 
 
 def regressor_matrix(Z: Array) -> Array:
-    """Regressor rows for an (l, d) block of probes: row r is the upper
-    triangle of z z' for z = Z[r] in row-major order, diagonal entries z_j^2
-    and off-diagonal entries 2 z_i z_j, so that row . nu = z' Lambda z when
-    nu packs Lambda's upper triangle entrywise."""
-    i, j = np.triu_indices(Z.shape[1])
-    Ups = Z[:, i] * Z[:, j]
+    """Regressor rows for an (l, d) block of probes, or for each block of an
+    (..., l, d) stack: row r is the upper triangle of z z' for z = Z[r] in
+    row-major order, diagonal entries z_j^2 and off-diagonal entries
+    2 z_i z_j, so that row . nu = z' Lambda z when nu packs Lambda's upper
+    triangle entrywise."""
+    i, j = np.triu_indices(Z.shape[-1])
+    Ups = Z[..., i] * Z[..., j]
     Ups *= np.where(i == j, 1.0, 2.0)
     return Ups
 
@@ -176,6 +203,45 @@ def unpack_symmetric(v: Array, d: int) -> Array:
     out[iu] = v
     out.T[iu] = v
     return out
+
+
+@dataclass(frozen=True)
+class StageSystems:
+    """The part of the stage fits that needs no targets, for one stage or
+    for a block of stages on the leading axis.
+
+    Ups (..., l, p) holds the regressors. M holds the systems the fits
+    solve: Ups itself up to the threshold l = p, above it the reduced QR
+    factor R (..., p, p), with Qr (..., l, p) carrying the targets to it
+    (None up to the threshold). s holds the singular values of M, which are
+    those of Ups. Indexing gives one stage's systems.
+    """
+
+    Ups: Array
+    M: Array
+    Qr: Array | None
+    s: Array
+
+    def __getitem__(self, i: int) -> StageSystems:
+        return StageSystems(self.Ups[i], self.M[i], None if self.Qr is None else self.Qr[i],
+                            self.s[i])
+
+
+def stage_systems(X: Array, U: Array, L: Array) -> StageSystems:
+    """Regressors, their reduction to square systems and the singular values
+    for probes (X, U, L) of one stage or stacks of them: one stacked call
+    each for the regressors, the QR reduction (above the threshold) and the
+    singular values. Raises NonFiniteState, before any LAPACK call, when a
+    regressor entry is not finite."""
+    # an overflow is reported as NonFiniteState, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ups = regressor_matrix(np.concatenate([X, U, L], axis=-1))
+    if not np.isfinite(Ups).all():
+        raise NonFiniteState("probe regressors are non-finite: the probes overflow when squared")
+    M, Qr = Ups, None
+    if Ups.shape[-2] > Ups.shape[-1]:
+        Qr, M = np.linalg.qr(Ups)
+    return StageSystems(Ups=Ups, M=M, Qr=Qr, s=np.linalg.svd(M, compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -237,37 +303,32 @@ def stage_targets(ds: StageDataset, Q: Array, R: Array, P_next: Array,
     return gamma - np.einsum("ij,jk,ik->i", L, G_next, L)
 
 
-def fit_stage(ds: StageDataset, gamma: Array) -> tuple[Array, float, float]:
+def fit_stage(ds: StageDataset, system: StageSystems, gamma: Array) -> tuple[Array, float, float]:
     """Least-squares fit of the packed kernel coefficients.
 
-    Solves argmin ||Ups nu - gamma||_2 as one square p x p system, p =
-    sample_threshold(n, m): Ups itself at the threshold, or above it the
-    reduced QR factor R of Ups against Q' gamma, which has the same singular
-    values and the same least-squares solution. The singular values give
-    the rank at the shared cutoff and the regressor condition number; an LU
-    solve then gives nu (never the normal equations). Returns (Lambda(k),
-    residual 2-norm ||Ups nu - gamma||, regressor condition number), with nu
-    unpacked into the symmetric Lambda(k). Raises RankDeficient, before any
-    solve, when Ups loses column rank at the shared cutoff.
+    Solves argmin ||Ups nu - gamma||_2 through the stage's square p x p
+    system of stage_systems, p = sample_threshold(n, m): Ups itself at the
+    threshold, or above it the reduced QR factor R of Ups against Q' gamma,
+    which has the same singular values and the same least-squares solution.
+    The singular values give the rank at the shared cutoff and the
+    regressor condition number; an LU solve then gives nu (never the normal
+    equations). Returns (Lambda(k), residual 2-norm ||Ups nu - gamma||,
+    regressor condition number), with nu unpacked into the symmetric
+    Lambda(k). Raises RankDeficient, before any solve, when Ups loses column
+    rank at the shared cutoff; short systems (l < p) always do.
     """
     n, m = ds.X.shape[1], ds.U.shape[1]
     need = sample_threshold(n, m)
-    Ups = regressor_matrix(np.hstack([ds.X, ds.U, ds.L]))
-    # above the threshold, reduce to R and Q' gamma; below it M stays short,
-    # and the rank test rejects it
-    M, b = Ups, gamma
-    if len(Ups) > need:
-        Qr, M = np.linalg.qr(Ups)
-        b = Qr.T @ gamma
-    s = np.linalg.svd(M, compute_uv=False)
-    rank = int((s > rank_cutoff(Ups, s)).sum())
+    s = system.s
+    rank = int((s > rank_cutoff(system.Ups, s)).sum())
     cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
     if rank < need:
         raise RankDeficient(
             f"stage {ds.k} regressor rank {rank} < {need}",
             rank=rank, cond=cond)
-    nu = np.linalg.solve(M, b)
-    residual = float(np.linalg.norm(Ups @ nu - gamma))
+    b = gamma if system.Qr is None else system.Qr.T @ gamma
+    nu = np.linalg.solve(system.M, b)
+    residual = float(np.linalg.norm(system.Ups @ nu - gamma))
     return unpack_symmetric(nu, 2 * n + m), residual, cond
 
 
@@ -304,8 +365,11 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
 
     Every stage is fitted from the targets of stage_targets: the terminal
     stage from the boundary values, every interior stage from the previously
-    extracted P, Phi, G (never the plant matrices). The multiplier solves the
-    stage-0 block equation
+    extracted P, Phi, G (never the plant matrices). The probes and the
+    stage systems come per block of stages (BLOCK_BYTES); the oracle answers
+    one batch per stage, in stage order. Raises InsufficientSamples before
+    any oracle query when l is below the identifiability threshold. The
+    multiplier solves the stage-0 block equation
 
         [-L33(0) - L32(0) K1(0)] lambda = Phi(0,N) x0 - xi
 
@@ -321,6 +385,11 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
     if dist.x_mean.shape != (n,) or dist.u_mean.shape != (m,):
         raise ValueError("probe distribution dimensions do not match dims")
 
+    p = sample_threshold(n, m)
+    if l < p:
+        raise InsufficientSamples(f"l={l} below the identifiability threshold {p}")
+    width = max(1, BLOCK_BYTES // (8 * l * p))
+
     d = 2 * n + m
     Lambda = np.empty((N + 1, d, d))
     residual, cond, gamma_norm = np.empty(N + 1), np.empty(N + 1), np.empty(N + 1)
@@ -330,16 +399,20 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
     Phi[N + 1] = np.eye(n)
     G[N + 1] = 0.0
 
-    for k in range(N, -1, -1):
-        ds = sample_stage_data(oracle, k, l, dist, seed)
-        # the terminal target takes H as given, not its symmetric part P(N+1):
-        # the two round differently in the targets
-        P_next = H if k == N else P[k + 1]
-        gamma = stage_targets(ds, Q, R, P_next, Phi[k + 1], G[k + 1])
-        Lambda[k], residual[k], cond[k] = fit_stage(ds, gamma)
-        gamma_norm[k] = np.linalg.norm(gamma)
-        ex = extract_stage(k, Lambda[k], G_next=G[k + 1])
-        K[k], K1[k], P[k], Phi[k], G[k] = ex.K, ex.K1, ex.P, ex.Phi_row, ex.G
+    for top in range(N, -1, -width):
+        ks = range(top, max(top - width, -1), -1)
+        X, U, L = draw_probes(ks, l, dist, seed)
+        systems = stage_systems(X, U, L)
+        for i, k in enumerate(ks):
+            ds = sample_stage_data(oracle, k, X[i], U[i], L[i])
+            # the terminal target takes H as given, not its symmetric part
+            # P(N+1): the two round differently in the targets
+            P_next = H if k == N else P[k + 1]
+            gamma = stage_targets(ds, Q, R, P_next, Phi[k + 1], G[k + 1])
+            Lambda[k], residual[k], cond[k] = fit_stage(ds, systems[i], gamma)
+            gamma_norm[k] = np.linalg.norm(gamma)
+            ex = extract_stage(k, Lambda[k], G_next=G[k + 1])
+            K[k], K1[k], P[k], Phi[k], G[k] = ex.K, ex.K1, ex.P, ex.Phi_row, ex.G
 
     L32, L33 = Lambda[0, n + m:, n:n + m], Lambda[0, n + m:, n + m:]
     M = sym(-L33 - L32 @ K1[0])

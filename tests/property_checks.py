@@ -17,10 +17,10 @@ from termlq import (
     solve_schedule,
 )
 from termlq.harness import draw_reachable_instance
-from termlq.qlearn import fit_stage, pack_symmetric, sample_stage_data, unpack_symmetric
+from termlq.qlearn import pack_symmetric, unpack_symmetric
 
 from costates import costate_residual
-from qkernels import regressor_row, terminal_targets
+from qkernels import fit, regressor_row, stage_dataset, terminal_targets
 
 
 def _random_valid_instance(rng):
@@ -116,11 +116,11 @@ def check_quadratic_form_identity(cases: int, seed: int) -> int:
     for i in range(cases):
         inst = _random_valid_instance(rng)
         l = sample_threshold(inst.n, inst.m)
-        ds = sample_stage_data(SimulatedPlant(inst), inst.N, l,
-                               default_gaussian_spec(inst.n, inst.m),
-                               seed=int(rng.integers(2 ** 63)))
+        ds = stage_dataset(SimulatedPlant(inst), inst.N, l,
+                           default_gaussian_spec(inst.n, inst.m),
+                           seed=int(rng.integers(2 ** 63)))
         gamma = terminal_targets(ds, inst)
-        Lam, _, _ = fit_stage(ds, gamma)
+        Lam, _, _ = fit(ds, gamma)
         for z in np.hstack([ds.X, ds.U, ds.L]):
             direct = z @ Lam @ z
             packed = regressor_row(z) @ pack_symmetric(Lam)

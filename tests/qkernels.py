@@ -1,6 +1,7 @@
 """Test-only references for the learner: the regressor row of a single
-probe, the terminal-stage targets, and the stage kernel the fit should
-recover, assembled from the model-based schedule."""
+probe, one stage's dataset and fit through the learner's block functions,
+the terminal-stage targets, and the stage kernel the fit should recover,
+assembled from the model-based schedule."""
 
 from __future__ import annotations
 
@@ -8,7 +9,16 @@ import numpy as np
 
 from termlq.linalg import ro, sym
 from termlq.model import ModelSchedule, ProblemInstance
-from termlq.qlearn import StageDataset, stage_targets
+from termlq.qlearn import (
+    GaussianSpec,
+    StageDataset,
+    TransitionOracle,
+    draw_probes,
+    fit_stage,
+    sample_stage_data,
+    stage_systems,
+    stage_targets,
+)
 
 
 def regressor_row(z) -> np.ndarray:
@@ -20,6 +30,19 @@ def regressor_row(z) -> np.ndarray:
     zz = np.outer(z, z)
     w = 2.0 * zz - np.diag(z * z)
     return w[np.triu_indices(d)]
+
+
+def stage_dataset(oracle: TransitionOracle, k: int, l: int, dist: GaussianSpec,
+                  seed: int) -> StageDataset:
+    """The l probes learn draws for stage k under seed, with the oracle's
+    answers."""
+    X, U, L = draw_probes([k], l, dist, seed)
+    return sample_stage_data(oracle, k, X[0], U[0], L[0])
+
+
+def fit(ds: StageDataset, gamma: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """fit_stage on the stage systems of the probes of ds."""
+    return fit_stage(ds, stage_systems(ds.X, ds.U, ds.L), gamma)
 
 
 def terminal_targets(ds: StageDataset, inst: ProblemInstance) -> np.ndarray:

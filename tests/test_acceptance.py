@@ -30,7 +30,7 @@ from termlq import (
     solve_schedule,
 )
 from termlq.harness import draw_reachable_instance
-from termlq.qlearn import StageDataset, fit_stage, pack_symmetric, sample_stage_data
+from termlq.qlearn import StageDataset, pack_symmetric
 
 from golden import (
     GOLDEN_LEARN_SAMPLES,
@@ -42,7 +42,7 @@ from golden import (
     PRINTED_P,
     example_instance,
 )
-from qkernels import terminal_targets
+from qkernels import fit, stage_dataset, terminal_targets
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -169,15 +169,15 @@ def test_criterion_6_sample_threshold_is_sharp():
                              np.eye(n), np.eye(m), np.eye(n),
                              rng.standard_normal(n), rng.standard_normal(n))
         l = sample_threshold(n, m)
-        ds = sample_stage_data(SimulatedPlant(inst), N, l,
-                               default_gaussian_spec(n, m), seed=trial)
+        ds = stage_dataset(SimulatedPlant(inst), N, l,
+                           default_gaussian_spec(n, m), seed=trial)
         targets = terminal_targets(ds, inst)
         short = StageDataset(N, ds.X[:l - 1], ds.U[:l - 1], ds.L[:l - 1], ds.Xn[:l - 1])
         try:
-            fit_stage(short, targets[:l - 1])
+            fit(short, targets[:l - 1])
         except RankDeficient:
             deficient += 1
-        fit_stage(ds, targets)
+        fit(ds, targets)
         succeeded += 1
     ok = deficient == trials and succeeded == trials
     verdict(6, ok, f"one sample below the threshold: {deficient}/{trials} "

@@ -13,10 +13,10 @@ import pytest
 
 import termlq
 from termlq import SimulatedPlant, default_gaussian_spec
-from termlq.qlearn import sample_stage_data
 from termlq.cli import main
 
 from golden import EXACT_LAMBDA, FIXTURE_HASH, PRINTED_NU, example_instance
+from qkernels import stage_dataset
 from replay_logs import write_replay_log
 
 
@@ -132,7 +132,7 @@ class TestLearn:
         inst = example_instance()
         plant = SimulatedPlant(inst)
         dist = default_gaussian_spec(inst.n, inst.m)
-        datasets = [sample_stage_data(plant, k, 30, dist, seed=7)
+        datasets = [stage_dataset(plant, k, 30, dist, seed=7)
                     for k in range(inst.N + 1)]
         log_path = tmp_path / "probes.log"
         write_replay_log(datasets, log_path)
@@ -150,7 +150,7 @@ class TestLearn:
         inst = example_instance()
         plant = SimulatedPlant(inst)
         dist = default_gaussian_spec(inst.n, inst.m)
-        stage0 = sample_stage_data(plant, 0, 30, dist, seed=7)
+        stage0 = stage_dataset(plant, 0, 30, dist, seed=7)
         log_path = tmp_path / "partial.log"
         write_replay_log([stage0], log_path)
         code, _, err = run_cli(

@@ -25,9 +25,10 @@ from termlq.fileio import (
     read_replay_log,
     write_report,
 )
-from termlq.qlearn import ReplayLog, StageDataset, sample_stage_data
+from termlq.qlearn import ReplayLog, StageDataset
 
 from golden import FIXTURE_HASH, example_instance
+from qkernels import stage_dataset
 from reference_report import reference_dumps_report
 from replay_logs import write_replay_log
 
@@ -288,7 +289,7 @@ class TestInstanceHash:
 class TestReplayLogFile:
     def _dataset(self, example):
         dist = default_gaussian_spec(example.n, example.m)
-        return sample_stage_data(SimulatedPlant(example), 2, 15, dist, seed=11)
+        return stage_dataset(SimulatedPlant(example), 2, 15, dist, seed=11)
 
     def test_round_trip_is_exact(self, example, tmp_path):
         ds = self._dataset(example)

@@ -4,6 +4,8 @@ model-based solution."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,16 +27,17 @@ from termlq import (
     solve_schedule,
 )
 from termlq.harness import draw_reachable_instance, verify_solution
+from termlq.errors import TermLqError
 from termlq.linalg import RANK_RTOL
 from termlq.qlearn import (
+    BLOCK_BYTES,
     RESIDUAL_WARN_RTOL,
+    LearnedSchedule,
     ReplayLog,
     StageDataset,
     extract_stage,
-    fit_stage,
     pack_symmetric,
     regressor_matrix,
-    sample_stage_data,
     stage_targets,
     unpack_symmetric,
 )
@@ -48,8 +51,9 @@ from golden import (
     PRINTED_NU,
     PRINTED_P,
 )
-from qkernels import model_kernel, regressor_row, terminal_targets
+from qkernels import fit, model_kernel, regressor_row, stage_dataset, terminal_targets
 from reference_fit import lstsq_fit, outer_product_regressor
+from reference_learn import reference_learn
 
 DIST2 = default_gaussian_spec(2, 1)
 
@@ -85,20 +89,29 @@ class TestSampling:
         assert sample_threshold(3, 2) == 36
 
     def test_below_threshold_refused(self, example):
+        class Counting(SimulatedPlant):
+            steps = 0
+
+            def step(self, k, X, U):
+                Counting.steps += 1
+                return super().step(k, X, U)
+
         with pytest.raises(InsufficientSamples):
-            sample_stage_data(SimulatedPlant(example), 0, 14, DIST2, seed=0)
+            learn(Counting(example), (example.n, example.m, example.N),
+                  (example.Q, example.R, example.H), example.x0, example.xi, 14, DIST2, seed=0)
+        assert Counting.steps == 0
 
     def test_same_seed_same_dataset(self, example):
-        a = sample_stage_data(SimulatedPlant(example), 1, 20, DIST2, seed=42)
-        b = sample_stage_data(SimulatedPlant(example), 1, 20, DIST2, seed=42)
+        a = stage_dataset(SimulatedPlant(example), 1, 20, DIST2, seed=42)
+        b = stage_dataset(SimulatedPlant(example), 1, 20, DIST2, seed=42)
         npt.assert_array_equal(a.X, b.X)
         npt.assert_array_equal(a.U, b.U)
         npt.assert_array_equal(a.L, b.L)
         npt.assert_array_equal(a.Xn, b.Xn)
 
     def test_stages_use_distinct_substreams(self, example):
-        a = sample_stage_data(SimulatedPlant(example), 0, 20, DIST2, seed=42)
-        b = sample_stage_data(SimulatedPlant(example), 1, 20, DIST2, seed=42)
+        a = stage_dataset(SimulatedPlant(example), 0, 20, DIST2, seed=42)
+        b = stage_dataset(SimulatedPlant(example), 1, 20, DIST2, seed=42)
         assert not np.array_equal(a.X[0], b.X[0])
 
     def test_plant_answers_are_exact(self, example):
@@ -111,13 +124,13 @@ class TestSampling:
                              rng.standard_normal(8), rng.standard_normal(8))
         for inst, l in ((example, 15), (wide, sample_threshold(8, 4))):
             dist = default_gaussian_spec(inst.n, inst.m)
-            ds = sample_stage_data(SimulatedPlant(inst), 2, l, dist, seed=3)
+            ds = stage_dataset(SimulatedPlant(inst), 2, l, dist, seed=3)
             assert ds.Xn.shape == (l, inst.n)
             for x, u, x_next in zip(ds.X, ds.U, ds.Xn):
                 npt.assert_array_equal(x_next, inst.A[2] @ x + inst.B[2] @ u)
 
     def test_full_rank_at_example_count(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 0, 30, DIST2, seed=GOLDEN_LEARN_SEED)
+        ds = stage_dataset(SimulatedPlant(example), 0, 30, DIST2, seed=GOLDEN_LEARN_SEED)
         Z = np.hstack([ds.X, ds.U, ds.L])
         assert np.linalg.matrix_rank(regressor_matrix(Z)) == 15
 
@@ -185,43 +198,43 @@ class TestTargets:
 
 class TestFitStage:
     def test_example_terminal_kernel(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 2, GOLDEN_LEARN_SAMPLES,
-                               DIST2, seed=GOLDEN_LEARN_SEED)
+        ds = stage_dataset(SimulatedPlant(example), 2, GOLDEN_LEARN_SAMPLES,
+                           DIST2, seed=GOLDEN_LEARN_SEED)
         gamma = terminal_targets(ds, example)
-        Lam, residual, _ = fit_stage(ds, gamma)
+        Lam, residual, _ = fit(ds, gamma)
         npt.assert_allclose(pack_symmetric(Lam), PRINTED_NU[2], atol=1e-6)
         assert residual <= 1e-8
         assert residual <= RESIDUAL_WARN_RTOL * np.linalg.norm(gamma)
 
     def test_zero_targets_give_zero_kernel(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 2, 15, DIST2, seed=1)
-        Lam, _, _ = fit_stage(ds, np.zeros(15))
+        ds = stage_dataset(SimulatedPlant(example), 2, 15, DIST2, seed=1)
+        Lam, _, _ = fit(ds, np.zeros(15))
         npt.assert_allclose(Lam, 0.0, atol=1e-14)
 
     def test_synthetic_kernel_round_trip(self, example):
         rng = np.random.default_rng(12)
         S = rng.standard_normal((5, 5))
         target = (S + S.T) / 2.0
-        ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=2)
+        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=2)
         gamma = np.array([z @ target @ z for z in np.hstack([ds.X, ds.U, ds.L])])
-        Lam, _, _ = fit_stage(ds, gamma)
+        Lam, _, _ = fit(ds, gamma)
         npt.assert_allclose(Lam, target, atol=1e-9)
 
     def test_duplicate_rows_lose_rank(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 0, 15, DIST2, seed=4)
+        ds = stage_dataset(SimulatedPlant(example), 0, 15, DIST2, seed=4)
         dup = rows(ds, list(range(14)) + [0])
         gamma = terminal_targets(dup, example)
         with pytest.raises(RankDeficient) as err:
-            fit_stage(dup, gamma)
+            fit(dup, gamma)
         assert err.value.rank == 14
 
     def test_order_invariance(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 2, 25, DIST2, seed=6)
+        ds = stage_dataset(SimulatedPlant(example), 2, 25, DIST2, seed=6)
         gamma = terminal_targets(ds, example)
-        Lam, _, _ = fit_stage(ds, gamma)
+        Lam, _, _ = fit(ds, gamma)
         perm = np.random.default_rng(7).permutation(25)
         shuffled = rows(ds, perm)
-        Lam2, _, _ = fit_stage(shuffled, gamma[perm])
+        Lam2, _, _ = fit(shuffled, gamma[perm])
         npt.assert_allclose(pack_symmetric(Lam2), pack_symmetric(Lam), atol=1e-10)
 
 
@@ -253,8 +266,8 @@ class TestReferenceFit:
             sched = solve_schedule(inst)
             k = int(rng.integers(0, inst.N + 1))
             p = sample_threshold(inst.n, inst.m)
-            ds = sample_stage_data(SimulatedPlant(inst), k, p + 10,
-                                   default_gaussian_spec(inst.n, inst.m), seed=t)
+            ds = stage_dataset(SimulatedPlant(inst), k, p + 10,
+                               default_gaussian_spec(inst.n, inst.m), seed=t)
             cases = {"square": list(range(p)), "over": list(range(p + 10)),
                      "short": list(range(p - 1)),
                      "duplicate-square": list(range(p - 1)) + [0],
@@ -268,7 +281,7 @@ class TestReferenceFit:
         eps = np.finfo(float).eps
         seen = set()
         for case, ds, gamma in self.draws():
-            got, ref = self.outcome(fit_stage, ds, gamma), self.outcome(lstsq_fit, ds, gamma)
+            got, ref = self.outcome(fit, ds, gamma), self.outcome(lstsq_fit, ds, gamma)
             assert type(got) is type(ref), case
             full_rank = case in ("square", "over")
             assert isinstance(got, tuple) == full_rank, case
@@ -402,9 +415,9 @@ class TestLearn:
         inst = make_instance(example.A, example.B, example.Q, example.R, H,
                              example.x0, example.xi)
         ls = example_learned(inst)
-        ds = sample_stage_data(SimulatedPlant(inst), inst.N, GOLDEN_LEARN_SAMPLES,
-                               DIST2, seed=GOLDEN_LEARN_SEED)
-        Lam, residual, _ = fit_stage(ds, terminal_targets(ds, inst))
+        ds = stage_dataset(SimulatedPlant(inst), inst.N, GOLDEN_LEARN_SAMPLES,
+                           DIST2, seed=GOLDEN_LEARN_SEED)
+        Lam, residual, _ = fit(ds, terminal_targets(ds, inst))
         npt.assert_array_equal(ls.Lambda[inst.N], Lam)
         assert ls.fit_diagnostics.residual[inst.N] == residual
         npt.assert_array_equal(ls.P[inst.N + 1], (H + H.T) / 2.0)
@@ -419,26 +432,125 @@ class TestLearn:
                   inst.x0, inst.xi, 15, DIST2, seed=0)
 
 
+class TestReferenceLearn:
+    """learn against the per-stage loop it replaced (reference_learn): the
+    same schedule, multiplier and fit diagnostics bit for bit, or the same
+    exception class, message (which names the stage) and payload."""
+
+    DRAWS = 100
+
+    @staticmethod
+    def outcome(run, inst, l, seed, oracle=None, dist=None):
+        try:
+            return run(oracle if oracle is not None else SimulatedPlant(inst),
+                       (inst.n, inst.m, inst.N), (inst.Q, inst.R, inst.H),
+                       inst.x0, inst.xi, l, dist, seed)
+        except TermLqError as err:
+            return err
+
+    def assert_same(self, inst, l, seed, oracle=None, dist=None):
+        got = self.outcome(learn, inst, l, seed, oracle, dist)
+        ref = self.outcome(reference_learn, inst, l, seed, oracle, dist)
+        assert type(got) is type(ref)
+        if isinstance(ref, TermLqError):
+            assert (str(got), vars(got)) == (str(ref), vars(ref))
+            return got
+        for name in ("Lambda", "K", "K1", "P", "Phi", "G", "lambda_star"):
+            npt.assert_array_equal(getattr(got, name), getattr(ref, name), err_msg=name)
+        for name in ("residual", "cond", "high_residual"):
+            npt.assert_array_equal(getattr(got.fit_diagnostics, name),
+                                   getattr(ref.fit_diagnostics, name), err_msg=name)
+        return got
+
+    @staticmethod
+    def native_instance(dims, seed=0):
+        n, m, N = dims
+        rng = np.random.default_rng(seed)
+        return make_instance(rng.standard_normal((N + 1, n, n)),
+                             rng.standard_normal((N + 1, n, m)),
+                             np.eye(n), np.eye(m), np.eye(n),
+                             rng.standard_normal(n), rng.standard_normal(n))
+
+    @staticmethod
+    def blocks(dims):
+        n, m, N = dims
+        p = sample_threshold(n, m)
+        width = max(1, BLOCK_BYTES // (8 * p * p))
+        return -(-(N + 1) // width)
+
+    def test_campaign_draws_at_and_above_threshold(self):
+        for t in range(self.DRAWS):
+            rng = np.random.default_rng(np.random.SeedSequence((1515, t)))
+            inst = draw_reachable_instance(rng, (1, 4), (1, 2), (0, 8))
+            p = sample_threshold(inst.n, inst.m)
+            for l in (p, p + 10):
+                self.assert_same(inst, l, seed=t)
+
+    @pytest.mark.parametrize("dims, blocks", [((8, 4, 16), 17), ((3, 2, 64), 3)])
+    def test_wide_and_long_horizons(self, dims, blocks):
+        # (8, 4, 16) fits one stage per block, (3, 2, 64) spans three blocks
+        assert self.blocks(dims) == blocks
+        inst = self.native_instance(dims)
+        ls = self.assert_same(inst, sample_threshold(dims[0], dims[1]), seed=7)
+        assert isinstance(ls, LearnedSchedule)
+
+    def test_replay_missing_interior_stage(self):
+        dims = (3, 2, 64)
+        inst = self.native_instance(dims)
+        l = sample_threshold(3, 2)
+        dist = default_gaussian_spec(3, 2)
+        # stage 30 sits inside the second block of stages 39..15
+        log = replay_of([stage_dataset(SimulatedPlant(inst), k, l, dist, seed=7)
+                         for k in range(inst.N + 1) if k != 30])
+        err = self.assert_same(inst, l, seed=7, oracle=log)
+        assert isinstance(err, OracleMiss) and "stage 30 " in str(err)
+
+    def test_below_threshold(self):
+        inst = self.native_instance((3, 2, 64))
+        err = self.assert_same(inst, sample_threshold(3, 2) - 1, seed=7)
+        assert isinstance(err, InsufficientSamples)
+
+    def test_oracle_miss_precedes_rank_verdict_of_its_stage(self, example):
+        # probes 1 + 1e-20 z round to 1.0: every regressor has rank 1
+        flat = default_gaussian_spec(2, 1, mean=1.0, covariance_scale=1e-40)
+        assert isinstance(self.assert_same(example, 15, seed=3, dist=flat), RankDeficient)
+        partial = replay_of([stage_dataset(SimulatedPlant(example), k, 15, flat, seed=3)
+                             for k in range(example.N)])
+        assert isinstance(self.assert_same(example, 15, seed=3, oracle=partial, dist=flat),
+                          OracleMiss)
+
+    def test_traced_peak_of_a_wide_learn(self):
+        inst = self.native_instance((8, 4, 16))
+        tracemalloc.start()
+        try:
+            learn(SimulatedPlant(inst), (8, 4, 16), (inst.Q, inst.R, inst.H),
+                  inst.x0, inst.xi, sample_threshold(8, 4), None, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
+
 class TestReplayLog:
     def test_serves_recorded_transitions(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=5)
         log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
         npt.assert_array_equal(log.step(1, ds.X[3:4], ds.U[3:4]), ds.Xn[3:4])
 
     def test_miss_raises(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=5)
         log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
         with pytest.raises(OracleMiss):
             log.step(0, ds.X[:1], ds.U[:1])
 
     def test_permuted_batch_answered_in_query_order(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=5)
         log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
         perm = np.random.default_rng(3).permutation(15)
         npt.assert_array_equal(log.step(1, ds.X[perm], ds.U[perm]), ds.Xn[perm])
 
     def test_single_unrecorded_row_misses(self, example):
-        ds = sample_stage_data(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=5)
         log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
         X = ds.X.copy()
         X[7, 0] = np.nextafter(X[7, 0], np.inf)
@@ -446,9 +558,9 @@ class TestReplayLog:
             log.step(1, X, ds.U)
 
     def test_replay_reproduces_plant_learning(self, example):
-        datasets = [sample_stage_data(SimulatedPlant(example), k,
-                                      GOLDEN_LEARN_SAMPLES, DIST2,
-                                      seed=GOLDEN_LEARN_SEED)
+        datasets = [stage_dataset(SimulatedPlant(example), k,
+                                  GOLDEN_LEARN_SAMPLES, DIST2,
+                                  seed=GOLDEN_LEARN_SEED)
                     for k in range(example.N + 1)]
         from_log = learn(replay_of(datasets), (example.n, example.m, example.N),
                          (example.Q, example.R, example.H), example.x0, example.xi,
