@@ -47,11 +47,26 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _as_int(doc: dict, key: str) -> int:
+def _as_int(doc: dict, key: str, name: str | None = None) -> int:
+    """doc[key] as an integer (bools refused); errors name the key as name."""
     v = _require(doc, key)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"key '{key}': expected an integer, found {type(v).__name__}")
+        raise ParseError(f"key '{name or key}': expected an integer, found {type(v).__name__}")
     return v
+
+
+def _as_finite(doc: dict, key: str, name: str) -> float:
+    """doc[key] as a finite float (bools refused); errors name the key as name."""
+    v = _require(doc, key)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"key '{name}': expected a number, found {type(v).__name__}")
+    try:
+        f = float(v)
+    except OverflowError:   # an integer beyond the float range
+        f = math.inf
+    if not math.isfinite(f):
+        raise ParseError(f"key '{name}': expected a finite number, found {f}")
+    return f
 
 
 def _as_matrix(value, key: str, rows: int, cols: int) -> np.ndarray:
@@ -125,11 +140,10 @@ def load_instance_file(path: str | Path) -> InstanceFile:
         unknown = set(block) - {"l", "seed", "mean", "covariance_scale"}
         if unknown:
             raise ParseError(f"key 'learn': unknown entries {sorted(unknown)}")
-        settings = LearnSettings(
-            l=block.get("l"),
-            seed=block.get("seed"),
-            mean=float(block.get("mean", 0.0)),
-            covariance_scale=float(block.get("covariance_scale", 1.0)))
+        # null stands for an absent entry
+        given = {key: (_as_int if key in ("l", "seed") else _as_finite)(block, key, f"learn.{key}")
+                 for key, value in block.items() if value is not None}
+        settings = LearnSettings(**given)
         if settings.covariance_scale <= 0:
             raise ParseError("key 'learn.covariance_scale': must be positive")
     return InstanceFile(instance=inst, learn=settings)

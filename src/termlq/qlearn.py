@@ -119,6 +119,8 @@ class GaussianSpec:
 def default_gaussian_spec(n: int, m: int, mean: float = 0.0,
                           covariance_scale: float = 1.0) -> GaussianSpec:
     """Zero-mean unit-covariance probes unless overridden."""
+    if not (np.isfinite(mean) and np.isfinite(covariance_scale)):
+        raise ValueError("mean and covariance_scale must be finite")
     if covariance_scale <= 0:
         raise ValueError("covariance_scale must be positive")
     return GaussianSpec(x_mean=ro(np.full(n, float(mean))),

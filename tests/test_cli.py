@@ -340,6 +340,39 @@ def checkout_env():
     return env
 
 
+class TestLearnBlock:
+    """Bad learn-block values fail as typed errors in a child process: one
+    stderr line, the JSON failure report on stdout (nothing ahead of it) and
+    the class's exit status."""
+
+    @pytest.mark.parametrize("entries, code, error, message", [
+        ('"seed": "x"', 5, "ParseError", "key 'learn.seed': expected an integer, found str"),
+        ('"seed": 1.5', 5, "ParseError", "key 'learn.seed': expected an integer, found float"),
+        ('"seed": true', 5, "ParseError", "key 'learn.seed': expected an integer, found bool"),
+        ('"seed": 7, "l": "30"', 5, "ParseError", "key 'learn.l': expected an integer, found str"),
+        ('"seed": 7, "l": 30.5', 5, "ParseError", "key 'learn.l': expected an integer, found float"),
+        ('"seed": 7, "mean": NaN', 5, "ParseError",
+         "key 'learn.mean': expected a finite number, found nan"),
+        ('"seed": 7, "mean": "0"', 5, "ParseError",
+         "key 'learn.mean': expected a number, found str"),
+        ('"seed": 7, "covariance_scale": 1e999', 5, "ParseError",
+         "key 'learn.covariance_scale': expected a finite number, found inf"),
+        ('"seed": 7, "mean": 1e200', 2, "NonFiniteState",
+         "probe regressors are non-finite: the probes overflow when squared"),
+    ])
+    def test_bad_value_is_a_typed_failure(self, fixture_file, tmp_path, entries, code, error,
+                                          message):
+        doc = json.loads(fixture_file.read_text())
+        doc["learn"] = "LEARN"
+        p = tmp_path / "learn_block.json"
+        p.write_text(json.dumps(doc).replace('"LEARN"', "{" + entries + "}"))
+        proc = subprocess.run([sys.executable, "-m", "termlq", "learn", "--instance", str(p)],
+                              capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == code
+        assert proc.stderr.splitlines() == [f"termlq learn: {message}"]
+        assert json.loads(proc.stdout)["error"] == {"code": error, "message": message}
+
+
 class TestEntryPoint:
     def test_installed_script_runs(self, fixture_file, tmp_path):
         # the wrapper pip writes for the [project.scripts] entry, so the

@@ -19,6 +19,7 @@ from termlq import (
     make_instance,
 )
 from termlq.fileio import (
+    LearnSettings,
     dumps_report,
     instance_hash,
     load_instance_file,
@@ -109,6 +110,13 @@ class TestLoadInstance:
         p.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="covariance_scale"):
             load_instance_file(p)
+
+    def test_null_learn_entries_count_as_absent(self, fixture_file, tmp_path):
+        doc = json.loads(fixture_file.read_text())
+        doc["learn"] = {"l": None, "seed": 7, "mean": None, "covariance_scale": None}
+        p = tmp_path / "nulls.json"
+        p.write_text(json.dumps(doc))
+        assert load_instance_file(p).learn == LearnSettings(seed=7)
 
     def test_invalid_instance_is_a_validation_error(self, fixture_file, tmp_path):
         doc = json.loads(fixture_file.read_text())

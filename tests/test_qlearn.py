@@ -101,6 +101,12 @@ class TestSampling:
                   (example.Q, example.R, example.H), example.x0, example.xi, 14, DIST2, seed=0)
         assert Counting.steps == 0
 
+    def test_probe_spec_refuses_non_finite_values(self):
+        for kwargs in ({"mean": np.nan}, {"mean": np.inf}, {"covariance_scale": np.inf},
+                       {"covariance_scale": np.nan}):
+            with pytest.raises(ValueError, match="finite"):
+                default_gaussian_spec(2, 1, **kwargs)
+
     def test_same_seed_same_dataset(self, example):
         a = stage_dataset(SimulatedPlant(example), 1, 20, DIST2, seed=42)
         b = stage_dataset(SimulatedPlant(example), 1, 20, DIST2, seed=42)
