@@ -10,6 +10,7 @@ files. Replay logs are plain text, one transition per line.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -237,15 +238,35 @@ def read_replay_log(path: str | Path, n: int, m: int) -> ReplayLog:
     """Parse a replay log for an n-state, m-input plant: one transition per
     line, the stage k, then the x, u, lam and x_next entries as decimal
     floats. Blank lines are skipped; a malformed line raises a ParseError
-    naming its line number."""
+    naming its line number.
+
+    One np.loadtxt call parses a well-formed log. Anything it refuses goes
+    to the line loop, which accepts what int() and float() accept (digit
+    separators, non-ASCII digits) and names the first malformed line.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     width = 1 + 3 * n + m
+    ks, V = _replay_table(text, width)
+    return ReplayLog(ks, V[:, :n], V[:, n:n + m], V[:, n + m:2 * n + m], V[:, 2 * n + m:])
+
+
+def _replay_table(text: str, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(stages, the other fields as a (records, width - 1) float array)."""
+    if text.strip():   # np.loadtxt warns on a log without records
+        try:
+            rec = np.loadtxt(io.StringIO(text), comments=None, ndmin=1,
+                             dtype=[("k", "<i8"), ("v", "<f8", (width - 1,))])
+            return rec["k"], rec["v"]
+        except ValueError:
+            pass
+    # lines end at "\n" only: np.loadtxt reads form feeds and the other
+    # str.splitlines breaks as whitespace, and so does this loop
     ks: list[int] = []
     rows: list[list[float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -259,6 +280,4 @@ def read_replay_log(path: str | Path, n: int, m: int) -> ReplayLog:
         if abs(k) >= 2 ** 63:
             raise ParseError(f"line {lineno}: stage {k} does not fit a 64-bit integer")
         ks.append(k)
-    V = np.array(rows, dtype=float).reshape(len(rows), width - 1)
-    return ReplayLog(np.array(ks, dtype=np.int64), V[:, :n], V[:, n:n + m],
-                     V[:, n + m:2 * n + m], V[:, 2 * n + m:])
+    return np.array(ks, dtype=np.int64), np.array(rows, dtype=float).reshape(len(rows), width - 1)

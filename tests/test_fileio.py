@@ -343,6 +343,47 @@ class TestReplayLogFile:
         assert len(log.X) == 1
         assert log.k[0] == 0
 
+    def test_python_number_forms_accepted(self, tmp_path):
+        # digit separators and full-width digits, which int() and float()
+        # accept and np.loadtxt refuses
+        p = tmp_path / "forms.txt"
+        p.write_text("0 1_0.5 2 3 1 2 3 4\n\uff11 1 2 3 1 2 3 4\n")
+        log = read_replay_log(p, 2, 1)
+        np.testing.assert_array_equal(log.k, [0, 1])
+        assert log.X[0, 0] == 10.5
+
+    def test_float_stage_rejected(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("0 1 2 3 1 2 3 4\n3.0 1 2 3 1 2 3 4\n")
+        with pytest.raises(ParseError, match="line 2: invalid literal for int"):
+            read_replay_log(p, 2, 1)
+
+    def test_lines_end_at_newlines_only(self, tmp_path):
+        # a form feed separates fields, as in np.loadtxt, not lines
+        p = tmp_path / "ff.txt"
+        p.write_text("0 1 2 3\f1 2 3 4\n")
+        np.testing.assert_array_equal(read_replay_log(p, 2, 1).X, [[1.0, 2.0]])
+        p.write_text("0 1 2 3\f1 2 3 4\n1 1_0 2 3 1 2 3 4\n")
+        np.testing.assert_array_equal(read_replay_log(p, 2, 1).X, [[1.0, 2.0], [10.0, 2.0]])
+
+    def test_empty_file_is_an_empty_log(self, tmp_path, recwarn):
+        p = tmp_path / "empty.txt"
+        for text in ("", "\n  \n"):
+            p.write_text(text)
+            log = read_replay_log(p, 2, 1)
+            assert log.X.shape == (0, 2) and log.Xn.shape == (0, 2) and len(log.k) == 0
+        assert len(recwarn) == 0
+
+    def test_crlf_line_ends(self, example, tmp_path):
+        ds = self._dataset(example)
+        p = tmp_path / "log.txt"
+        write_replay_log([ds], p)
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+        lf, log = read_replay_log(p, 2, 1), read_replay_log(crlf, 2, 1)
+        for field in ("k", "X", "U", "L", "Xn"):
+            np.testing.assert_array_equal(getattr(log, field), getattr(lf, field))
+
     def test_write_refuses_unwritable_path(self, tmp_path):
         batch = StageDataset(
             k=0,
