@@ -26,6 +26,7 @@ to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -160,7 +161,8 @@ def draw_probes(ks, l: int, dist: GaussianSpec, seed: int) -> tuple[Array, Array
     n, m = dist.x_mean.shape[0], dist.u_mean.shape[0]
     Zx, Zu, Zl = np.empty((len(ks), l, n)), np.empty((len(ks), l, m)), np.empty((len(ks), l, n))
     for i, k in enumerate(ks):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(k))))
+        # what default_rng builds from the SeedSequence, without its checks
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(k)))))
         for Z in (Zx, Zu, Zl):
             rng.standard_normal(out=Z[i])
     std = float(np.sqrt(dist.covariance_scale))
@@ -177,13 +179,24 @@ def sample_stage_data(oracle: TransitionOracle, k: int, X: Array, U: Array,
     return StageDataset(k=int(k), X=ro(X), U=ro(U), L=ro(L), Xn=ro(Xn))
 
 
+@lru_cache(maxsize=16)
+def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle of a d x d matrix in
+    row-major order, as np.triu_indices gives them, read-only. Cached: every
+    stage of every learn packs and unpacks with the same few d."""
+    iu = np.triu_indices(d)
+    for index in iu:
+        index.setflags(write=False)
+    return iu
+
+
 def regressor_matrix(Z: Array) -> Array:
     """Regressor rows for an (l, d) block of probes, or for each block of an
     (..., l, d) stack: row r is the upper triangle of z z' for z = Z[r] in
     row-major order, diagonal entries z_j^2 and off-diagonal entries
     2 z_i z_j, so that row . nu = z' Lambda z when nu packs Lambda's upper
     triangle entrywise."""
-    i, j = np.triu_indices(Z.shape[-1])
+    i, j = _upper_triangle(Z.shape[-1])
     Ups = Z[..., i] * Z[..., j]
     Ups *= np.where(i == j, 1.0, 2.0)
     return Ups
@@ -193,15 +206,15 @@ def pack_symmetric(M: Array) -> Array:
     """Row-major upper-triangle vectorization of a symmetric matrix, or of
     each matrix of a stack along the last two axes."""
     M = np.asarray(M, dtype=float)
-    iu = np.triu_indices(M.shape[-1])
-    return M[..., iu[0], iu[1]]
+    i, j = _upper_triangle(M.shape[-1])
+    return M[..., i, j]
 
 
 def unpack_symmetric(v: Array, d: int) -> Array:
     """Inverse of pack_symmetric: expand a packed vector to the full
     symmetric matrix."""
     out = np.zeros((d, d))
-    iu = np.triu_indices(d)
+    iu = _upper_triangle(d)
     out[iu] = v
     out.T[iu] = v
     return out
@@ -346,10 +359,10 @@ def extract_stage(k: int, Lam: Array, G_next: Array) -> StageExtract:
     u, lam = slice(n, d - n), slice(d - n, d)
     L11, L21, L22 = Lam[:n, :n], Lam[u, :n], Lam[u, u]
     L31, L32 = Lam[lam, :n], Lam[lam, u]
-    ok, lo = is_pd(sym(L22))
+    L22 = sym(L22)
+    ok, lo = is_pd(L22)
     if not ok:
         raise SingularBlock(f"stage {k} input block has eigenvalue {lo:.6e}")
-    L22 = sym(L22)
     W21 = np.linalg.solve(L22, L21)
     W32 = np.linalg.solve(L22, L32.T)
     K = -W21
