@@ -43,6 +43,7 @@ from golden import (
     PRINTED_P,
 )
 from reference_reachability import drift_product, reference_reachability
+from reference_schedule import reference_riccati, reference_schedule
 
 
 def scalar_instance(x0=2.0, xi=5.0):
@@ -263,6 +264,19 @@ class TestSchedule:
 
     def test_stage_two_gramian(self, example_schedule):
         npt.assert_allclose(example_schedule.G[2], EXACT_G2, rtol=1e-13)
+
+    def test_matches_per_stage_loops_bit_for_bit(self):
+        # 100 campaign draws, then native wide and long instances
+        rng = np.random.default_rng(2424)
+        insts = [draw_reachable_instance(rng, (1, 4), (1, 2), (0, 8)) for _ in range(100)]
+        insts += [random_instance(rng, *dims) for dims in ((8, 4, 16), (3, 2, 64), (8, 4, 256))]
+        for inst in insts:
+            sched = solve_schedule(inst)
+            for got, ref in zip((sched.P, sched.Gamma, sched.K), reference_riccati(inst)):
+                npt.assert_array_equal(got, ref)
+            for got, ref in zip((sched.K1, sched.Phi, sched.G),
+                                reference_schedule(inst, sched.Gamma, sched.K)):
+                npt.assert_array_equal(got, ref)
 
     def test_scalar_boundary_values(self):
         sched = solve_schedule(scalar_instance())
