@@ -10,9 +10,9 @@ files. Replay logs are plain text, one transition per line.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -240,33 +240,35 @@ def read_replay_log(path: str | Path, n: int, m: int) -> ReplayLog:
     floats. Blank lines are skipped; a malformed line raises a ParseError
     naming its line number.
 
-    One np.loadtxt call parses a well-formed log. Anything it refuses goes
-    to the line loop, which accepts what int() and float() accept (digit
-    separators, non-ASCII digits) and names the first malformed line.
+    One np.loadtxt call parses a well-formed log, reading the file in
+    chunks. Anything it refuses goes to the line loop, which accepts what
+    int() and float() accept (digit separators, non-ASCII digits) and names
+    the first malformed line.
     """
+    width = 1 + 3 * n + m
     try:
-        text = Path(path).read_text()
+        ks, V = _replay_table(path, width)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    width = 1 + 3 * n + m
-    ks, V = _replay_table(text, width)
     return ReplayLog(ks, V[:, :n], V[:, n:n + m], V[:, n + m:2 * n + m], V[:, 2 * n + m:])
 
 
-def _replay_table(text: str, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _replay_table(path: str | Path, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(stages, the other fields as a (records, width - 1) float array)."""
-    if text.strip():   # np.loadtxt warns on a log without records
-        try:
-            rec = np.loadtxt(io.StringIO(text), comments=None, ndmin=1,
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            # a log without records makes np.loadtxt warn; the loop takes it
+            warnings.simplefilter("error", UserWarning)
+            rec = np.loadtxt(fh, comments=None, ndmin=1,
                              dtype=[("k", "<i8"), ("v", "<f8", (width - 1,))])
-            return rec["k"], rec["v"]
-        except ValueError:
-            pass
+        return rec["k"], rec["v"]
+    except (ValueError, UserWarning):
+        pass
     # lines end at "\n" only: np.loadtxt reads form feeds and the other
     # str.splitlines breaks as whitespace, and so does this loop
     ks: list[int] = []
     rows: list[list[float]] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(Path(path).read_text().split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split()
