@@ -38,9 +38,9 @@ class StageOutOfRange(TermLqError):
 
 
 class NonFiniteState(TermLqError):
-    """A rollout produced a non-finite state entry or cost, or the open-loop
-    products of the reachability test overflowed (an unstable policy or
-    plant, or huge data)."""
+    """A rollout produced a non-finite state entry or cost, the open-loop
+    products of the reachability test overflowed, or the learner's probe
+    regressors did (an unstable policy or plant, or huge data)."""
 
 
 class InsufficientSamples(TermLqError):
