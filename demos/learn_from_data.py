@@ -9,8 +9,8 @@ model-based path computes.
 import numpy as np
 
 from termlq import (
+    GaussianSpec,
     SimulatedPlant,
-    default_gaussian_spec,
     learn,
     learned_policy,
     make_instance,
@@ -33,7 +33,8 @@ np.set_printoptions(precision=4, suppress=True)
 
 # the plant wraps the instance but the learner only sees its step() method
 plant = SimulatedPlant(inst)
-dist = default_gaussian_spec(inst.n, inst.m)
+# every probe entry is mean + sqrt(covariance_scale) * N(0, 1): here 0 + N(0, 1)
+dist = GaussianSpec(mean=0.0, covariance_scale=1.0)
 
 d = 2 * inst.n + inst.m
 print(f"probe vector dimension d = 2n+m = {d}")

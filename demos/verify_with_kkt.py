@@ -9,9 +9,9 @@ and costates certifies both paths.
 import numpy as np
 
 from termlq import (
+    GaussianSpec,
     InfeasibleConstraint,
     SimulatedPlant,
-    default_gaussian_spec,
     kkt_oracle,
     learn,
     make_instance,
@@ -43,7 +43,7 @@ lamsol = solve_lambda(sched, inst)
 learned = learn(SimulatedPlant(inst), (inst.n, inst.m, inst.N),
                 (inst.Q, inst.R, inst.H), inst.x0, inst.xi,
                 sample_threshold(inst.n, inst.m),
-                default_gaussian_spec(inst.n, inst.m), seed=3)
+                GaussianSpec(), seed=3)
 
 report = verify_solution(inst, sched, lamsol, learned)
 print("\nthree-way comparison")

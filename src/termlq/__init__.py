@@ -36,8 +36,8 @@ from .model import (
     solve_schedule,
 )
 from .qlearn import (
+    GaussianSpec,
     SimulatedPlant,
-    default_gaussian_spec,
     learn,
     learned_policy,
     sample_threshold,
@@ -57,7 +57,7 @@ __all__ = [
     "make_instance", "solve_schedule", "check_reachability", "solve_lambda",
     "optimal_policy", "rollout",
     # qlearn
-    "SimulatedPlant", "default_gaussian_spec", "sample_threshold", "learn",
+    "SimulatedPlant", "GaussianSpec", "sample_threshold", "learn",
     "learned_policy",
     # harness
     "CampaignSpec", "kkt_oracle", "verify_solution", "monte_carlo",

@@ -8,14 +8,15 @@ byte-deterministic JSON; exit status encodes the failure class, the
 
     0  success
     2  validation failure (bad instance data, missing seed, singular blocks,
-       a non-finite rollout state or cost, reachability products that
-       overflow)
+       a non-finite rollout state or cost, reachability products, backward
+       pass or learned fit that overflow)
     3  terminal target not reachable / constraint infeasible
     4  rank-deficient or insufficient data
     5  I/O or parse error, an unwritable --out included
 
 A failure writes a report with an "error" entry to --out, or to stdout when
-there is no --out or it cannot be written.
+there is no --out or it cannot be written. Its seed is the one the command
+used, from --seed or the instance's learn block.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ import argparse
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .errors import TermLqError, ValidationError
 from .fileio import (
-    LearnSettings,
+    InstanceFile,
     dumps_report,
     instance_hash,
     load_instance_file,
@@ -45,8 +48,8 @@ from .model import (
     solve_schedule,
 )
 from .qlearn import (
+    GaussianSpec,
     SimulatedPlant,
-    default_gaussian_spec,
     learn,
     learned_policy,
     pack_symmetric,
@@ -74,27 +77,30 @@ def _trajectory_dict(traj) -> dict:
     return {"states": traj.states.tolist(), "inputs": traj.inputs.tolist()}
 
 
-def _resolve_learn_options(args, settings: LearnSettings | None, n: int, m: int):
-    seed = args.seed
-    if seed is None and settings is not None:
-        seed = settings.seed
+def _resolve_learn_options(args, doc: InstanceFile | None) -> None:
+    """Settle args.seed, args.samples and args.dist for learn, verify and
+    campaign: each from its flag, else from the instance's learn block, else
+    its default (the identifiability threshold, GaussianSpec()). A campaign
+    has no instance and leaves the sample count to each trial. Raises
+    ValidationError when there is no seed or it is negative."""
+    seed, l, dist = args.seed, args.samples, GaussianSpec()
+    where = "pass --seed"
+    if doc is not None:
+        inst = doc.instance
+        if seed is None:
+            seed = doc.seed
+        if l is None:
+            l = doc.l if doc.l is not None else sample_threshold(inst.n, inst.m)
+        dist, where = doc.dist, "pass --seed or set learn.seed in the instance"
     if seed is None:
-        raise ValidationError("a seed is required (pass --seed or set learn.seed in the instance)")
+        raise ValidationError(f"a seed is required ({where})")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
-    l = args.samples
-    if l is None and settings is not None and settings.l is not None:
-        l = settings.l
-    if l is None:
-        l = sample_threshold(n, m)
-    mean = settings.mean if settings is not None else 0.0
-    scale = settings.covariance_scale if settings is not None else 1.0
-    dist = default_gaussian_spec(n, m, mean=mean, covariance_scale=scale)
-    return int(seed), int(l), dist
+    args.seed, args.samples, args.dist = seed, l, dist
 
 
-def _cmd_solve(args) -> dict:
-    inst = load_instance_file(args.instance).instance
+def _cmd_solve(args, doc: InstanceFile) -> dict:
+    inst = doc.instance
     sched = solve_schedule(inst)
     lamsol = solve_lambda(sched, inst)
     traj = rollout(inst, optimal_policy(sched, lamsol.lambda_star))
@@ -107,19 +113,17 @@ def _cmd_solve(args) -> dict:
     return report
 
 
-def _cmd_learn(args) -> dict:
-    doc = load_instance_file(args.instance)
+def _cmd_learn(args, doc: InstanceFile) -> dict:
     inst = doc.instance
-    seed, l, dist = _resolve_learn_options(args, doc.learn, inst.n, inst.m)
     if args.replay is not None:
         oracle = read_replay_log(args.replay, inst.n, inst.m)
     else:
         oracle = SimulatedPlant(inst)
     learned = learn(oracle, (inst.n, inst.m, inst.N), (inst.Q, inst.R, inst.H),
-                    inst.x0, inst.xi, l, dist, seed)
+                    inst.x0, inst.xi, args.samples, args.dist, args.seed)
     traj = rollout(inst, learned_policy(learned))
-    report = _head("learn", seed, inst)
-    report["samples"] = l
+    report = _head("learn", args.seed, inst)
+    report["samples"] = args.samples
     report["schedule"] = _schedule_dict(learned)
     report["nu"] = pack_symmetric(learned.Lambda).tolist()
     report["fit"] = {
@@ -133,18 +137,17 @@ def _cmd_learn(args) -> dict:
     return report
 
 
-def _cmd_verify(args) -> dict:
-    doc = load_instance_file(args.instance)
+def _cmd_verify(args, doc: InstanceFile) -> dict:
     inst = doc.instance
-    seed, l, dist = _resolve_learn_options(args, doc.learn, inst.n, inst.m)
     sched = solve_schedule(inst)
     lamsol = solve_lambda(sched, inst)
     learned = learn(SimulatedPlant(inst), (inst.n, inst.m, inst.N),
-                    (inst.Q, inst.R, inst.H), inst.x0, inst.xi, l, dist, seed)
+                    (inst.Q, inst.R, inst.H), inst.x0, inst.xi, args.samples, args.dist,
+                    args.seed)
     comparison = verify_solution(inst, sched, lamsol, learned)
     traj = comparison.model_trajectory
-    report = _head("verify", seed, inst)
-    report["samples"] = l
+    report = _head("verify", args.seed, inst)
+    report["samples"] = args.samples
     report["schedule"] = _schedule_dict(sched)
     report["lambda_star"] = lamsol.lambda_star.tolist()
     report["trajectory"] = _trajectory_dict(traj)
@@ -164,8 +167,8 @@ def _cmd_verify(args) -> dict:
     return report
 
 
-def _cmd_reach(args) -> tuple[dict, int]:
-    inst = load_instance_file(args.instance).instance
+def _cmd_reach(args, doc: InstanceFile) -> tuple[dict, int]:
+    inst = doc.instance
     result = check_reachability(inst)
     report = _head("reach", None, inst)
     report["reachable"] = result.reachable
@@ -174,11 +177,7 @@ def _cmd_reach(args) -> tuple[dict, int]:
     return report, 0 if result.reachable else 3
 
 
-def _cmd_campaign(args) -> dict:
-    if args.seed is None:
-        raise ValidationError("a seed is required (pass --seed)")
-    if args.seed < 0:
-        raise ValidationError("seed must be nonnegative")
+def _cmd_campaign(args, _doc: None) -> dict:
     spec = CampaignSpec(count=args.trials, seed=args.seed, samples=args.samples)
     summary = monte_carlo(spec)
 
@@ -237,13 +236,19 @@ def _deliver(report: dict, out: str | None) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "reach":
-            report, code = _cmd_reach(args)
-        else:
-            commands = {"solve": _cmd_solve, "learn": _cmd_learn, "verify": _cmd_verify,
-                        "campaign": _cmd_campaign}
-            report, code = commands[args.command](args), 0
-        _deliver(report, args.out)
+        # one floating-point policy: an overflow or invalid operation shows
+        # up at a finiteness check as a typed failure, never as a warning
+        with np.errstate(all="ignore"):
+            doc = None if args.command == "campaign" else load_instance_file(args.instance)
+            if "seed" in args:   # before any other work, so failures report it
+                _resolve_learn_options(args, doc)
+            if args.command == "reach":
+                report, code = _cmd_reach(args, doc)
+            else:
+                commands = {"solve": _cmd_solve, "learn": _cmd_learn, "verify": _cmd_verify,
+                            "campaign": _cmd_campaign}
+                report, code = commands[args.command](args, doc), 0
+            _deliver(report, args.out)
         return code
     except (TermLqError, OSError) as exc:
         failure = _head(args.command, getattr(args, "seed", None), None)

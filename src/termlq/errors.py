@@ -38,9 +38,10 @@ class StageOutOfRange(TermLqError):
 
 
 class NonFiniteState(TermLqError):
-    """A rollout produced a non-finite state entry or cost, the open-loop
-    products of the reachability test overflowed, or the learner's probe
-    regressors did (an unstable policy or plant, or huge data)."""
+    """A rollout produced a non-finite state entry or cost, or an overflow
+    reached the reachability products, the Riccati pass, the learner's
+    probe regressors or a fitted kernel (an unstable policy or plant, or
+    huge data)."""
 
 
 class InsufficientSamples(TermLqError):

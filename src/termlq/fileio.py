@@ -21,25 +21,20 @@ import numpy as np
 
 from .errors import IoError, ParseError
 from .model import ProblemInstance, make_instance, require_valid
-from .qlearn import ReplayLog
+from .qlearn import GaussianSpec, ReplayLog
 
 FLOAT_FORMAT = ".17g"
 
 
 @dataclass(frozen=True)
-class LearnSettings:
-    """Optional learn block of an instance file."""
+class InstanceFile:
+    """A parsed instance with its learn block: the sample count and seed
+    (None when the block leaves them out) and the probe distribution."""
 
+    instance: ProblemInstance
     l: int | None = None
     seed: int | None = None
-    mean: float = 0.0
-    covariance_scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class InstanceFile:
-    instance: ProblemInstance
-    learn: LearnSettings | None
+    dist: GaussianSpec = GaussianSpec()
 
 
 def _require(doc: dict, key: str):
@@ -99,7 +94,7 @@ def load_instance_file(path: str | Path) -> InstanceFile:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -133,21 +128,21 @@ def load_instance_file(path: str | Path) -> InstanceFile:
     inst = make_instance(A, B, Q, R, H, x0, xi)
     require_valid(inst)
 
-    settings = None
-    if "learn" in doc:
-        block = doc["learn"]
-        if not isinstance(block, dict):
-            raise ParseError("key 'learn': expected an object")
-        unknown = set(block) - {"l", "seed", "mean", "covariance_scale"}
-        if unknown:
-            raise ParseError(f"key 'learn': unknown entries {sorted(unknown)}")
-        # null stands for an absent entry
-        given = {key: (_as_int if key in ("l", "seed") else _as_finite)(block, key, f"learn.{key}")
-                 for key, value in block.items() if value is not None}
-        settings = LearnSettings(**given)
-        if settings.covariance_scale <= 0:
-            raise ParseError("key 'learn.covariance_scale': must be positive")
-    return InstanceFile(instance=inst, learn=settings)
+    block = doc.get("learn", {})
+    if not isinstance(block, dict):
+        raise ParseError("key 'learn': expected an object")
+    unknown = set(block) - {"l", "seed", "mean", "covariance_scale"}
+    if unknown:
+        raise ParseError(f"key 'learn': unknown entries {sorted(unknown)}")
+    # null stands for an absent entry
+    given = {key: (_as_int if key in ("l", "seed") else _as_finite)(block, key, f"learn.{key}")
+             for key, value in block.items() if value is not None}
+    probes = {key: given.pop(key) for key in ("mean", "covariance_scale") if key in given}
+    try:
+        dist = GaussianSpec(**probes)
+    except ValueError as exc:   # both are finite here, so the scale is not positive
+        raise ParseError("key 'learn.covariance_scale': must be positive") from exc
+    return InstanceFile(instance=inst, dist=dist, **given)
 
 
 def _emit(obj, indent: int, out: list[str]) -> None:
@@ -248,7 +243,7 @@ def read_replay_log(path: str | Path, n: int, m: int) -> ReplayLog:
     width = 1 + 3 * n + m
     try:
         ks, V = _replay_table(path, width)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return ReplayLog(ks, V[:, :n], V[:, n:n + m], V[:, n + m:2 * n + m], V[:, 2 * n + m:])
 

@@ -31,13 +31,16 @@ from .model import (
     solve_schedule,
 )
 from .qlearn import (
+    GaussianSpec,
     LearnedSchedule,
     SimulatedPlant,
-    default_gaussian_spec,
     learn,
     learned_policy,
     sample_threshold,
 )
+
+# random draws per campaign trial before draw_reachable_instance gives up
+MAX_DRAW_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -236,14 +239,14 @@ def random_instance(rng: np.random.Generator, n: int, m: int, N: int) -> Problem
 
 
 def draw_reachable_instance(rng: np.random.Generator, n_range: tuple[int, int],
-                            m_range: tuple[int, int], N_range: tuple[int, int],
-                            max_attempts: int = 1000) -> ProblemInstance | None:
+                            m_range: tuple[int, int],
+                            N_range: tuple[int, int]) -> ProblemInstance | None:
     """Sample random instances until the reachability screen passes.
 
-    Returns None when max_attempts random draws all fail the screen (possible
-    for dimension draws with m(N+1) < n, which are never reachable for
-    generic targets)."""
-    for _ in range(max_attempts):
+    Returns None when MAX_DRAW_ATTEMPTS random draws all fail the screen
+    (possible for dimension draws with m(N+1) < n, which are never reachable
+    for generic targets)."""
+    for _ in range(MAX_DRAW_ATTEMPTS):
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         m = int(rng.integers(m_range[0], m_range[1] + 1))
         N = int(rng.integers(N_range[0], N_range[1] + 1))
@@ -295,7 +298,7 @@ def monte_carlo(spec: CampaignSpec) -> CampaignSummary:
             l = spec.samples if spec.samples is not None else sample_threshold(inst.n, inst.m)
             learned = learn(SimulatedPlant(inst), (inst.n, inst.m, inst.N),
                             (inst.Q, inst.R, inst.H), inst.x0, inst.xi, l,
-                            default_gaussian_spec(inst.n, inst.m),
+                            GaussianSpec(),
                             seed=int(rng.integers(2 ** 63)))
             report = verify_solution(inst, sched, lamsol, learned)
         except TermLqError:

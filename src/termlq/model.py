@@ -150,7 +150,7 @@ def _require_dims(N: int, n: int, m: int, A: Sequence[Array], B: Sequence[Array]
 
 
 def require_valid(inst: ProblemInstance) -> None:
-    """Check dimensions, then symmetry, definiteness and finite entries, in
+    """Check dimensions, then finite entries, symmetry and definiteness, in
     that order; raises ValidationError naming the first failing check."""
     n, m, N = inst.n, inst.m, inst.N
     _require_dims(N, n, m, inst.A, inst.B)
@@ -159,16 +159,18 @@ def require_valid(inst: ProblemInstance) -> None:
         _check(name, M.shape == shape, f"shape {M.shape}, expected {shape}")
     for name, v in (("x0_shape", inst.x0), ("xi_shape", inst.xi)):
         _check(name, v.shape == (n,), f"shape {v.shape}, expected ({n},)")
+    finite = all(np.isfinite(a).all() for a in
+                 (inst.A, inst.B, inst.Q, inst.R, inst.H, inst.x0, inst.xi))
+    _check("finite_entries", finite, "non-finite entry present")
     for name, M in (("Q_symmetric", inst.Q), ("R_symmetric", inst.R), ("H_symmetric", inst.H)):
         gap = float(np.abs(M - M.T).max()) if M.size else 0.0
         _check(name, gap <= 1e-12 * max(1.0, float(np.abs(M).max())), f"asymmetry {gap:.3e}")
     for name, M, test in (("Q_psd", inst.Q, is_psd), ("R_pd", inst.R, is_pd),
                           ("H_psd", inst.H, is_psd)):
-        okd, lo = test(sym(M))
-        _check(name, okd, f"eigenvalue {lo:.6e}")
-    finite = all(np.isfinite(a).all() for a in
-                 (inst.A, inst.B, inst.Q, inst.R, inst.H, inst.x0, inst.xi))
-    _check("finite_entries", finite, "non-finite entry present")
+        S = sym(M)
+        okd, lo = test(S)
+        _check(name, okd, f"eigenvalue {lo:.6e}" if np.isfinite(S).all()
+               else "entries overflow when symmetrized")
 
 
 def riccati_backward(inst: ProblemInstance) -> tuple[Array, Array, Array]:
@@ -181,7 +183,8 @@ def riccati_backward(inst: ProblemInstance) -> tuple[Array, Array, Array]:
         P(k)     = Q + A(k)' P(k+1) A(k) + A(k)' P(k+1) B(k) K(k)
 
     with every P(k) symmetrized. Raises SingularGamma if any Gamma(k) fails
-    the positive-definite test.
+    the positive-definite test, or NonFiniteState when it fails because the
+    pass overflowed, or when P(0) overflows.
     """
     N, n, m = inst.N, inst.n, inst.m
     P = np.empty((N + 2, n, n))
@@ -194,10 +197,15 @@ def riccati_backward(inst: ProblemInstance) -> tuple[Array, Array, Array]:
         Gamma[k] = sym(inst.R + Bk.T @ PB)
         okd, lo = is_pd(Gamma[k])
         if not okd:
+            if not np.isfinite(Gamma[k]).all():
+                raise NonFiniteState(f"Gamma({k}) is non-finite: the backward pass overflows")
             raise SingularGamma(f"Gamma({k}) has eigenvalue {lo:.6e}")
         PBA = PB.T @ Ak
         K[k] = -np.linalg.solve(Gamma[k], PBA)
         P[k] = sym(inst.Q + Ak.T @ P[k + 1] @ Ak + PBA.T @ K[k])
+    # every other P(k) enters a Gamma: only P(0) can overflow unseen
+    if not np.isfinite(P[0]).all():
+        raise NonFiniteState("P(0) is non-finite: the backward pass overflows")
     return ro(P), ro(Gamma), ro(K)
 
 
@@ -253,13 +261,11 @@ def check_reachability(inst: ProblemInstance) -> ReachabilityResult:
     N, n, m = inst.N, inst.n, inst.m
     C = np.empty((n, m * (N + 1)))
     M = np.eye(n)
-    # an overflow is reported as NonFiniteState, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N, -1, -1):
-            C[:, k * m:(k + 1) * m] = M @ inst.B[k]
-            M = M @ inst.A[k]
-        G1 = sym(C @ C.T)
-        rhs = inst.xi - M @ inst.x0
+    for k in range(N, -1, -1):
+        C[:, k * m:(k + 1) * m] = M @ inst.B[k]
+        M = M @ inst.A[k]
+    G1 = sym(C @ C.T)
+    rhs = inst.xi - M @ inst.x0
     if not (np.isfinite(G1).all() and np.isfinite(rhs).all()):
         raise NonFiniteState(f"reachability Gramian or drift term is non-finite at N={N}")
     zeta, resid, _ = min_norm_solve(G1, rhs)
@@ -303,17 +309,15 @@ def rollout(inst: ProblemInstance, policy: Callable[[int, Array], Array]) -> Tra
     x = np.array(inst.x0, dtype=float)
     states[0] = x
     cost = 0.0
-    # an overflow is reported as NonFiniteState, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(inst.N + 1):
-            u = np.atleast_1d(np.asarray(policy(k, x), dtype=float))
-            cost += float(x @ inst.Q @ x + u @ inst.R @ u)
-            x = inst.A[k] @ x + inst.B[k] @ u
-            if not np.isfinite(x).all():
-                raise NonFiniteState(f"state at stage {k + 1} is non-finite")
-            inputs[k] = u
-            states[k + 1] = x
-        cost += float(x @ inst.H @ x)
+    for k in range(inst.N + 1):
+        u = np.atleast_1d(np.asarray(policy(k, x), dtype=float))
+        cost += float(x @ inst.Q @ x + u @ inst.R @ u)
+        x = inst.A[k] @ x + inst.B[k] @ u
+        if not np.isfinite(x).all():
+            raise NonFiniteState(f"state at stage {k + 1} is non-finite")
+        inputs[k] = u
+        states[k + 1] = x
+    cost += float(x @ inst.H @ x)
     if not np.isfinite(cost):
         raise NonFiniteState("rollout cost is non-finite")
     terminal_error = float(np.abs(x - inst.xi).max())

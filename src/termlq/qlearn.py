@@ -108,26 +108,19 @@ def _row_keys(k: Array, X: Array, U: Array) -> list[bytes]:
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Probe distribution: independent Gaussian blocks for x, u and the
-    multiplier probe, each mean + sqrt(covariance_scale) * standard normal."""
+    """Probe distribution: every entry of the x, u and multiplier probes is
+    mean + sqrt(covariance_scale) times an independent standard normal.
+    Raises ValueError unless both values are finite and the scale is
+    positive."""
 
-    x_mean: Array
-    u_mean: Array
-    lam_mean: Array
+    mean: float = 0.0
     covariance_scale: float = 1.0
 
-
-def default_gaussian_spec(n: int, m: int, mean: float = 0.0,
-                          covariance_scale: float = 1.0) -> GaussianSpec:
-    """Zero-mean unit-covariance probes unless overridden."""
-    if not (np.isfinite(mean) and np.isfinite(covariance_scale)):
-        raise ValueError("mean and covariance_scale must be finite")
-    if covariance_scale <= 0:
-        raise ValueError("covariance_scale must be positive")
-    return GaussianSpec(x_mean=ro(np.full(n, float(mean))),
-                        u_mean=ro(np.full(m, float(mean))),
-                        lam_mean=ro(np.full(n, float(mean))),
-                        covariance_scale=float(covariance_scale))
+    def __post_init__(self):
+        if not (np.isfinite(self.mean) and np.isfinite(self.covariance_scale)):
+            raise ValueError("mean and covariance_scale must be finite")
+        if self.covariance_scale <= 0:
+            raise ValueError("covariance_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -149,8 +142,10 @@ def sample_threshold(n: int, m: int) -> int:
     return d * (d + 1) // 2
 
 
-def draw_probes(ks, l: int, dist: GaussianSpec, seed: int) -> tuple[Array, Array, Array]:
-    """Draw l i.i.d. Gaussian (x, u, lam) probes for each stage of ks.
+def draw_probes(ks, l: int, n: int, m: int, dist: GaussianSpec,
+                seed: int) -> tuple[Array, Array, Array]:
+    """Draw l i.i.d. Gaussian (x, u, lam) probes for each stage of ks, for
+    an n-state, m-input plant.
 
     Returns the stacks X (len(ks), l, n), U (len(ks), l, m) and
     L (len(ks), l, n), the stages on the leading axis in the order of ks.
@@ -158,7 +153,6 @@ def draw_probes(ks, l: int, dist: GaussianSpec, seed: int) -> tuple[Array, Array
     its own substream SeedSequence((seed, k)), so a stage's probes do not
     depend on the stages drawn with it.
     """
-    n, m = dist.x_mean.shape[0], dist.u_mean.shape[0]
     Zx, Zu, Zl = np.empty((len(ks), l, n)), np.empty((len(ks), l, m)), np.empty((len(ks), l, n))
     for i, k in enumerate(ks):
         # what default_rng builds from the SeedSequence, without its checks
@@ -166,7 +160,7 @@ def draw_probes(ks, l: int, dist: GaussianSpec, seed: int) -> tuple[Array, Array
         for Z in (Zx, Zu, Zl):
             rng.standard_normal(out=Z[i])
     std = float(np.sqrt(dist.covariance_scale))
-    return dist.x_mean + std * Zx, dist.u_mean + std * Zu, dist.lam_mean + std * Zl
+    return dist.mean + std * Zx, dist.mean + std * Zu, dist.mean + std * Zl
 
 
 def sample_stage_data(oracle: TransitionOracle, k: int, X: Array, U: Array,
@@ -248,9 +242,7 @@ def stage_systems(X: Array, U: Array, L: Array) -> StageSystems:
     each for the regressors, the QR reduction (above the threshold) and the
     singular values. Raises NonFiniteState, before any LAPACK call, when a
     regressor entry is not finite."""
-    # an overflow is reported as NonFiniteState, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        Ups = regressor_matrix(np.concatenate([X, U, L], axis=-1))
+    Ups = regressor_matrix(np.concatenate([X, U, L], axis=-1))
     if not np.isfinite(Ups).all():
         raise NonFiniteState("probe regressors are non-finite: the probes overflow when squared")
     M, Qr = Ups, None
@@ -268,17 +260,6 @@ class FitDiagnostics:
     residual: Array
     cond: Array
     high_residual: Array
-
-
-@dataclass(frozen=True)
-class StageExtract:
-    """Per-stage quantities recovered from a fitted kernel."""
-
-    K: Array
-    K1: Array
-    P: Array
-    Phi_row: Array
-    G: Array
 
 
 @dataclass(frozen=True)
@@ -347,13 +328,17 @@ def fit_stage(ds: StageDataset, system: StageSystems, gamma: Array) -> tuple[Arr
     return unpack_symmetric(nu, 2 * n + m), residual, cond
 
 
-def extract_stage(k: int, Lam: Array, G_next: Array) -> StageExtract:
-    """Controller pieces from the fitted kernel Lambda(k) of stage k.
+def extract_stage(k: int, Lam: Array,
+                  G_next: Array) -> tuple[Array, Array, Array, Array, Array]:
+    """Controller pieces (K, K1, P, Phi_row, G) from the fitted kernel
+    Lambda(k) of stage k.
 
     With the blocks L11..L33 of Lambda(k) in the (x, u, lambda) layout:
     K = -L22^-1 L21, K1 = -L22^-1 L32', P = L11 - L21' L22^-1 L21,
     Phi_row = L31 - L32 L22^-1 L21 (the row Phi(k,N) of the closed-loop
     table), G = G_next + L32 L22^-1 L32'. At the terminal stage G_next = 0.
+    Raises SingularBlock when L22 fails the positive-definite test, or
+    NonFiniteState when it fails because the fit overflowed.
     """
     n, d = G_next.shape[0], Lam.shape[0]
     u, lam = slice(n, d - n), slice(d - n, d)
@@ -362,15 +347,15 @@ def extract_stage(k: int, Lam: Array, G_next: Array) -> StageExtract:
     L22 = sym(L22)
     ok, lo = is_pd(L22)
     if not ok:
+        if not np.isfinite(L22).all():
+            raise NonFiniteState(f"stage {k} fitted kernel is non-finite")
         raise SingularBlock(f"stage {k} input block has eigenvalue {lo:.6e}")
     W21 = np.linalg.solve(L22, L21)
     W32 = np.linalg.solve(L22, L32.T)
-    K = -W21
-    K1 = -W32
     P = sym(L11 - L21.T @ W21)
     Phi_row = L31 - L32 @ W21
     G = sym(np.asarray(G_next, dtype=float) + L32 @ W32)
-    return StageExtract(K=ro(K), K1=ro(K1), P=ro(P), Phi_row=ro(Phi_row), G=ro(G))
+    return -W21, -W32, P, Phi_row, G
 
 
 def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
@@ -396,9 +381,7 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
     x0 = np.asarray(x0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if dist is None:
-        dist = default_gaussian_spec(n, m)
-    if dist.x_mean.shape != (n,) or dist.u_mean.shape != (m,):
-        raise ValueError("probe distribution dimensions do not match dims")
+        dist = GaussianSpec()
 
     p = sample_threshold(n, m)
     if l < p:
@@ -416,7 +399,7 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
 
     for top in range(N, -1, -width):
         ks = range(top, max(top - width, -1), -1)
-        X, U, L = draw_probes(ks, l, dist, seed)
+        X, U, L = draw_probes(ks, l, n, m, dist, seed)
         systems = stage_systems(X, U, L)
         for i, k in enumerate(ks):
             ds = sample_stage_data(oracle, k, X[i], U[i], L[i])
@@ -426,8 +409,7 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
             gamma = stage_targets(ds, Q, R, P_next, Phi[k + 1], G[k + 1])
             Lambda[k], residual[k], cond[k] = fit_stage(ds, systems[i], gamma)
             gamma_norm[k] = np.linalg.norm(gamma)
-            ex = extract_stage(k, Lambda[k], G_next=G[k + 1])
-            K[k], K1[k], P[k], Phi[k], G[k] = ex.K, ex.K1, ex.P, ex.Phi_row, ex.G
+            K[k], K1[k], P[k], Phi[k], G[k] = extract_stage(k, Lambda[k], G_next=G[k + 1])
 
     L32, L33 = Lambda[0, n + m:, n:n + m], Lambda[0, n + m:, n + m:]
     M = sym(-L33 - L32 @ K1[0])

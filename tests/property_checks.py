@@ -7,8 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from termlq import (
-    SimulatedPlant,
-    default_gaussian_spec,
+    GaussianSpec,
     make_instance,
     optimal_policy,
     rollout,
@@ -116,8 +115,8 @@ def check_quadratic_form_identity(cases: int, seed: int) -> int:
     for i in range(cases):
         inst = _random_valid_instance(rng)
         l = sample_threshold(inst.n, inst.m)
-        ds = stage_dataset(SimulatedPlant(inst), inst.N, l,
-                           default_gaussian_spec(inst.n, inst.m),
+        ds = stage_dataset(inst, inst.N, l,
+                           GaussianSpec(),
                            seed=int(rng.integers(2 ** 63)))
         gamma = terminal_targets(ds, inst)
         Lam, _, _ = fit(ds, gamma)

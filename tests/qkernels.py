@@ -11,8 +11,8 @@ from termlq.linalg import ro, sym
 from termlq.model import ModelSchedule, ProblemInstance
 from termlq.qlearn import (
     GaussianSpec,
+    SimulatedPlant,
     StageDataset,
-    TransitionOracle,
     draw_probes,
     fit_stage,
     sample_stage_data,
@@ -32,12 +32,12 @@ def regressor_row(z) -> np.ndarray:
     return w[np.triu_indices(d)]
 
 
-def stage_dataset(oracle: TransitionOracle, k: int, l: int, dist: GaussianSpec,
+def stage_dataset(inst: ProblemInstance, k: int, l: int, dist: GaussianSpec,
                   seed: int) -> StageDataset:
-    """The l probes learn draws for stage k under seed, with the oracle's
-    answers."""
-    X, U, L = draw_probes([k], l, dist, seed)
-    return sample_stage_data(oracle, k, X[0], U[0], L[0])
+    """The l probes learn draws for stage k of inst under seed, with the
+    simulated plant's answers."""
+    X, U, L = draw_probes([k], l, inst.n, inst.m, dist, seed)
+    return sample_stage_data(SimulatedPlant(inst), k, X[0], U[0], L[0])
 
 
 def fit(ds: StageDataset, gamma: np.ndarray) -> tuple[np.ndarray, float, float]:

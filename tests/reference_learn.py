@@ -12,9 +12,9 @@ from termlq.linalg import min_norm_solve, range_tol, rank_cutoff, ro, sym
 from termlq.qlearn import (
     RESIDUAL_WARN_RTOL,
     FitDiagnostics,
+    GaussianSpec,
     LearnedSchedule,
     StageDataset,
-    default_gaussian_spec,
     extract_stage,
     regressor_matrix,
     sample_threshold,
@@ -23,17 +23,15 @@ from termlq.qlearn import (
 )
 
 
-def sample_stage(oracle, k, l, dist, seed) -> StageDataset:
-    n = dist.x_mean.shape[0]
-    m = dist.u_mean.shape[0]
+def sample_stage(oracle, k, l, n, m, dist, seed) -> StageDataset:
     need = sample_threshold(n, m)
     if l < need:
         raise InsufficientSamples(f"l={l} below the identifiability threshold {need}")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(k))))
     std = float(np.sqrt(dist.covariance_scale))
-    X = dist.x_mean + std * rng.standard_normal((l, n))
-    U = dist.u_mean + std * rng.standard_normal((l, m))
-    L = dist.lam_mean + std * rng.standard_normal((l, n))
+    X = dist.mean + std * rng.standard_normal((l, n))
+    U = dist.mean + std * rng.standard_normal((l, m))
+    L = dist.mean + std * rng.standard_normal((l, n))
     Xn = np.asarray(oracle.step(k, X, U), dtype=float)
     return StageDataset(k=int(k), X=ro(X), U=ro(U), L=ro(L), Xn=ro(Xn))
 
@@ -65,7 +63,7 @@ def reference_learn(oracle, dims, cost, x0, xi, l, dist, seed) -> LearnedSchedul
     x0 = np.asarray(x0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if dist is None:
-        dist = default_gaussian_spec(n, m)
+        dist = GaussianSpec()
     d = 2 * n + m
     Lambda = np.empty((N + 1, d, d))
     residual, cond, gamma_norm = np.empty(N + 1), np.empty(N + 1), np.empty(N + 1)
@@ -75,13 +73,12 @@ def reference_learn(oracle, dims, cost, x0, xi, l, dist, seed) -> LearnedSchedul
     Phi[N + 1] = np.eye(n)
     G[N + 1] = 0.0
     for k in range(N, -1, -1):
-        ds = sample_stage(oracle, k, l, dist, seed)
+        ds = sample_stage(oracle, k, l, n, m, dist, seed)
         P_next = H if k == N else P[k + 1]
         gamma = stage_targets(ds, Q, R, P_next, Phi[k + 1], G[k + 1])
         Lambda[k], residual[k], cond[k] = fit_one_stage(ds, gamma)
         gamma_norm[k] = np.linalg.norm(gamma)
-        ex = extract_stage(k, Lambda[k], G_next=G[k + 1])
-        K[k], K1[k], P[k], Phi[k], G[k] = ex.K, ex.K1, ex.P, ex.Phi_row, ex.G
+        K[k], K1[k], P[k], Phi[k], G[k] = extract_stage(k, Lambda[k], G_next=G[k + 1])
 
     L32, L33 = Lambda[0, n + m:, n:n + m], Lambda[0, n + m:, n + m:]
     M = sym(-L33 - L32 @ K1[0])

@@ -14,11 +14,11 @@ import numpy as np
 
 import property_checks as pc
 from termlq import (
+    GaussianSpec,
     InfeasibleConstraint,
     RankDeficient,
     SimulatedPlant,
     check_reachability,
-    default_gaussian_spec,
     kkt_oracle,
     learn,
     learned_policy,
@@ -55,7 +55,7 @@ def learn_example(l: int = GOLDEN_LEARN_SAMPLES, seed: int = GOLDEN_LEARN_SEED):
     inst = example_instance()
     return inst, learn(SimulatedPlant(inst), (inst.n, inst.m, inst.N),
                        (inst.Q, inst.R, inst.H), inst.x0, inst.xi,
-                       l, default_gaussian_spec(inst.n, inst.m), seed)
+                       l, GaussianSpec(), seed)
 
 
 def test_criterion_1_reference_solution_reproduced():
@@ -139,7 +139,7 @@ def test_criterion_5_learned_schedule_matches_model_at_threshold():
         l = sample_threshold(inst.n, inst.m)
         learned = learn(SimulatedPlant(inst), (inst.n, inst.m, inst.N),
                         (inst.Q, inst.R, inst.H), inst.x0, inst.xi, l,
-                        default_gaussian_spec(inst.n, inst.m),
+                        GaussianSpec(),
                         seed=int(rng.integers(2 ** 63)))
         for k in range(inst.N + 1):
             worst_gain = max(worst_gain,
@@ -169,8 +169,8 @@ def test_criterion_6_sample_threshold_is_sharp():
                              np.eye(n), np.eye(m), np.eye(n),
                              rng.standard_normal(n), rng.standard_normal(n))
         l = sample_threshold(n, m)
-        ds = stage_dataset(SimulatedPlant(inst), N, l,
-                           default_gaussian_spec(n, m), seed=trial)
+        ds = stage_dataset(inst, N, l,
+                           GaussianSpec(), seed=trial)
         targets = terminal_targets(ds, inst)
         short = StageDataset(N, ds.X[:l - 1], ds.U[:l - 1], ds.L[:l - 1], ds.Xn[:l - 1])
         try:

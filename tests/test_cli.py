@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import termlq
-from termlq import SimulatedPlant, default_gaussian_spec
+from termlq import GaussianSpec, IoError, TermLqError
 from termlq.cli import main
+from termlq.fileio import load_instance_file
 
 from golden import EXACT_LAMBDA, FIXTURE_HASH, PRINTED_NU, example_instance
 from qkernels import stage_dataset
@@ -37,6 +41,14 @@ def write_doc(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return p
+
+
+def overflow_doc(N):
+    # A = 1e200 overflows the backward pass: at N = 1 first in Gamma(0), at
+    # N = 0 only in P(0), which no Gamma reads
+    return {"n": 1, "m": 1, "N": N, "A": [[[1e200]]] * (N + 1), "B": [[[1.0]]] * (N + 1),
+            "Q": [[1.0]], "R": [[1.0]], "H": [[1.0]], "x0": [0.0], "xi": [0.0],
+            "learn": {"seed": 3}}
 
 
 def unreachable_doc():
@@ -130,9 +142,7 @@ class TestLearn:
         # record the exact probe set the plant run will draw, then rerun
         # against the log alone: the reports must agree byte for byte
         inst = example_instance()
-        plant = SimulatedPlant(inst)
-        dist = default_gaussian_spec(inst.n, inst.m)
-        datasets = [stage_dataset(plant, k, 30, dist, seed=7)
+        datasets = [stage_dataset(inst, k, 30, GaussianSpec(), seed=7)
                     for k in range(inst.N + 1)]
         log_path = tmp_path / "probes.log"
         write_replay_log(datasets, log_path)
@@ -147,10 +157,7 @@ class TestLearn:
         assert from_plant.read_bytes() == from_log.read_bytes()
 
     def test_replay_missing_probe_exits_4(self, fixture_file, tmp_path, capsys):
-        inst = example_instance()
-        plant = SimulatedPlant(inst)
-        dist = default_gaussian_spec(inst.n, inst.m)
-        stage0 = stage_dataset(plant, 0, 30, dist, seed=7)
+        stage0 = stage_dataset(example_instance(), 0, 30, GaussianSpec(), seed=7)
         log_path = tmp_path / "partial.log"
         write_replay_log([stage0], log_path)
         code, _, err = run_cli(
@@ -300,6 +307,55 @@ class TestExitStatuses:
         assert child_stderr(["reach", "--instance", p]) == [
             "termlq reach: reachability Gramian or drift term is non-finite at N=400"]
 
+    @pytest.mark.parametrize("N, message", [
+        (1, "Gamma(0) is non-finite: the backward pass overflows"),
+        (0, "P(0) is non-finite: the backward pass overflows"),
+    ])
+    def test_backward_pass_overflow_exits_2(self, tmp_path, N, message):
+        p = write_doc(tmp_path, "overflow.json", overflow_doc(N))
+        for command, failure in (("solve", message), ("verify", message),
+                                 ("learn", f"stage {N} fitted kernel is non-finite")):
+            proc = subprocess.run([sys.executable, "-m", "termlq", command, "--instance", str(p)],
+                                  capture_output=True, text=True, env=checkout_env())
+            assert proc.returncode == 2
+            assert proc.stderr.splitlines() == [f"termlq {command}: {failure}"]
+            report = json.loads(proc.stdout)
+            assert report["error"] == {"code": "NonFiniteState", "message": failure}
+            assert report["seed"] == (None if command == "solve" else 3)
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_undecodable_instance_exits_5(self, fixture_file, tmp_path, capsys, truncate):
+        text = fixture_file.read_bytes()
+        bad = text.replace(b'"x0": [1, 2]', b'"x0": [1, \xe92]')
+        assert bad != text
+        if truncate:   # cut in the middle of the line after the bad byte
+            bad = bad[:bad.index(b'"xi"') + 3]
+        p = tmp_path / "bad.json"
+        p.write_bytes(bad)
+        code, out, err = run_cli(["solve", "--instance", p], capsys)
+        assert code == 5
+        assert json.loads(out)["error"]["code"] == "ParseError"
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_undecodable_replay_log_exits_5(self, fixture_file, tmp_path, capsys, truncate):
+        inst = example_instance()
+        log_path = tmp_path / "probes.log"
+        write_replay_log([stage_dataset(inst, k, 30, GaussianSpec(), seed=7)
+                          for k in range(inst.N + 1)], log_path)
+        lines = log_path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b".", b"\xe9", 1)
+        if truncate:   # the log ends in the middle of the line with the bad byte
+            lines = lines[:2] + [lines[2][:len(lines[2]) // 2]]
+        log_path.write_bytes(b"\n".join(lines))
+        code, out, err = run_cli(["learn", "--instance", fixture_file, "--replay", log_path],
+                                 capsys)
+        assert code == 5
+        failure = json.loads(out)
+        assert failure["error"]["code"] == "ParseError"
+        assert failure["seed"] == 7
+        assert len(err.splitlines()) == 1
+
     def test_unwritable_out_exits_5(self, fixture_file, tmp_path, capsys):
         out_path = tmp_path / "absent_dir" / "solve.json"
         code, out, err = run_cli(
@@ -371,6 +427,60 @@ class TestLearnBlock:
         assert proc.returncode == code
         assert proc.stderr.splitlines() == [f"termlq learn: {message}"]
         assert json.loads(proc.stdout)["error"] == {"code": error, "message": message}
+
+
+def extreme_docs():
+    """(id, instance document): the fixture with the first entry of one
+    field set to one extreme value, then the two backward-pass overflows."""
+    fixture = Path(__file__).resolve().parents[1] / "fixtures" / "example_instance.json"
+    for field in ("A", "B", "Q", "R", "H", "x0", "xi"):
+        for value in (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, 1e154, 1e-320, -0.0):
+            doc = json.loads(fixture.read_text())
+            entry = doc[field]
+            while isinstance(entry[0], list):
+                entry = entry[0]
+            entry[0] = value
+            yield f"{field}={value!r}", doc
+    for N in (1, 0):
+        yield f"overflow-N{N}", overflow_doc(N)
+
+
+EXTREME_DOCS = dict(extreme_docs())
+
+
+class TestExtremeValues:
+    """Every command on every extreme document, in-process with warnings
+    raised as errors: a class exit code and one JSON report carrying the
+    seed used; a failure names a TermLqError class (never IoError, never an
+    eigenvalue nan or inf) on one stderr line."""
+
+    @pytest.mark.parametrize("name", list(EXTREME_DOCS))
+    def test_typed_outcome(self, name, tmp_path, capsys):
+        doc = EXTREME_DOCS[name]
+        p = write_doc(tmp_path, "extreme.json", doc)
+        try:
+            with np.errstate(all="ignore"):
+                load_instance_file(p)
+            seed = doc["learn"]["seed"]
+        except TermLqError:
+            seed = None   # refused before any seed is settled
+        for command in ("solve", "reach", "learn", "verify"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, "--instance", str(p)])
+            out, err = capsys.readouterr()
+            report = json.loads(out)
+            assert report["seed"] == (seed if command in ("learn", "verify") else None), command
+            if "error" not in report:
+                assert code == (3 if report.get("reachable") is False else 0), command
+                assert err == "", command
+                continue
+            error = report["error"]
+            cls = getattr(termlq, error["code"])
+            assert issubclass(cls, TermLqError) and cls is not IoError, (command, error)
+            assert code == cls.exit_code, (command, error)
+            assert err.splitlines() == [f"termlq {command}: {error['message']}"]
+            assert not re.search(r"eigenvalue -?(nan|inf)", error["message"]), (command, error)
 
 
 class TestEntryPoint:

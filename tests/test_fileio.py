@@ -11,15 +11,13 @@ import pytest
 
 import termlq.cli
 from termlq import (
+    GaussianSpec,
     IoError,
     ParseError,
-    SimulatedPlant,
     ValidationError,
-    default_gaussian_spec,
     make_instance,
 )
 from termlq.fileio import (
-    LearnSettings,
     dumps_report,
     instance_hash,
     load_instance_file,
@@ -45,11 +43,9 @@ class TestLoadInstance:
             np.testing.assert_array_equal(inst.B[k], ref.B[k])
         np.testing.assert_array_equal(inst.x0, ref.x0)
         np.testing.assert_array_equal(inst.xi, ref.xi)
-        assert doc.learn is not None
-        assert doc.learn.l == 30
-        assert doc.learn.seed == 7
-        assert doc.learn.mean == 0.0
-        assert doc.learn.covariance_scale == 1.0
+        assert doc.l == 30
+        assert doc.seed == 7
+        assert doc.dist == GaussianSpec(mean=0.0, covariance_scale=1.0)
 
     def test_load_instance_drops_learn_block(self, fixture_file):
         inst = load_instance_file(fixture_file).instance
@@ -116,7 +112,8 @@ class TestLoadInstance:
         doc["learn"] = {"l": None, "seed": 7, "mean": None, "covariance_scale": None}
         p = tmp_path / "nulls.json"
         p.write_text(json.dumps(doc))
-        assert load_instance_file(p).learn == LearnSettings(seed=7)
+        loaded = load_instance_file(p)
+        assert (loaded.l, loaded.seed, loaded.dist) == (None, 7, GaussianSpec())
 
     def test_invalid_instance_is_a_validation_error(self, fixture_file, tmp_path):
         doc = json.loads(fixture_file.read_text())
@@ -296,8 +293,7 @@ class TestInstanceHash:
 
 class TestReplayLogFile:
     def _dataset(self, example):
-        dist = default_gaussian_spec(example.n, example.m)
-        return stage_dataset(SimulatedPlant(example), 2, 15, dist, seed=11)
+        return stage_dataset(example, 2, 15, GaussianSpec(), seed=11)
 
     def test_round_trip_is_exact(self, example, tmp_path):
         ds = self._dataset(example)

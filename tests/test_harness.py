@@ -9,11 +9,11 @@ import pytest
 
 from termlq import (
     CampaignSpec,
+    GaussianSpec,
     InfeasibleConstraint,
     RankDeficient,
     SimulatedPlant,
     ValidationError,
-    default_gaussian_spec,
     kkt_oracle,
     learn,
     make_instance,
@@ -165,7 +165,7 @@ class TestVerifySolution:
     def test_model_vs_learned(self, example, example_schedule, example_lambda):
         ls = learn(SimulatedPlant(example), (2, 1, 2),
                    (example.Q, example.R, example.H), example.x0, example.xi, 30,
-                   default_gaussian_spec(2, 1), seed=7)
+                   GaussianSpec(), seed=7)
         report = verify_solution(example, example_schedule, example_lambda, ls)
         assert report.max_gain_error <= 1e-8
         assert report.lambda_error <= 1e-8

@@ -11,13 +11,13 @@ import numpy.testing as npt
 import pytest
 
 from termlq import (
+    GaussianSpec,
     InsufficientSamples,
     OracleMiss,
     RankDeficient,
     SimulatedPlant,
     SingularBlock,
     StageOutOfRange,
-    default_gaussian_spec,
     learn,
     learned_policy,
     make_instance,
@@ -55,7 +55,7 @@ from qkernels import fit, model_kernel, regressor_row, stage_dataset, terminal_t
 from reference_fit import lstsq_fit, outer_product_regressor
 from reference_learn import reference_learn
 
-DIST2 = default_gaussian_spec(2, 1)
+DIST = GaussianSpec()
 
 
 def rows(ds, idx):
@@ -79,7 +79,7 @@ def example_learned(example, l=GOLDEN_LEARN_SAMPLES, seed=GOLDEN_LEARN_SEED,
                   dist=None):
     return learn(SimulatedPlant(example), (example.n, example.m, example.N),
                  (example.Q, example.R, example.H), example.x0, example.xi, l,
-                 dist if dist is not None else DIST2, seed)
+                 dist if dist is not None else DIST, seed)
 
 
 class TestSampling:
@@ -98,26 +98,26 @@ class TestSampling:
 
         with pytest.raises(InsufficientSamples):
             learn(Counting(example), (example.n, example.m, example.N),
-                  (example.Q, example.R, example.H), example.x0, example.xi, 14, DIST2, seed=0)
+                  (example.Q, example.R, example.H), example.x0, example.xi, 14, DIST, seed=0)
         assert Counting.steps == 0
 
     def test_probe_spec_refuses_non_finite_values(self):
         for kwargs in ({"mean": np.nan}, {"mean": np.inf}, {"covariance_scale": np.inf},
                        {"covariance_scale": np.nan}):
             with pytest.raises(ValueError, match="finite"):
-                default_gaussian_spec(2, 1, **kwargs)
+                GaussianSpec(**kwargs)
 
     def test_same_seed_same_dataset(self, example):
-        a = stage_dataset(SimulatedPlant(example), 1, 20, DIST2, seed=42)
-        b = stage_dataset(SimulatedPlant(example), 1, 20, DIST2, seed=42)
+        a = stage_dataset(example, 1, 20, DIST, seed=42)
+        b = stage_dataset(example, 1, 20, DIST, seed=42)
         npt.assert_array_equal(a.X, b.X)
         npt.assert_array_equal(a.U, b.U)
         npt.assert_array_equal(a.L, b.L)
         npt.assert_array_equal(a.Xn, b.Xn)
 
     def test_stages_use_distinct_substreams(self, example):
-        a = stage_dataset(SimulatedPlant(example), 0, 20, DIST2, seed=42)
-        b = stage_dataset(SimulatedPlant(example), 1, 20, DIST2, seed=42)
+        a = stage_dataset(example, 0, 20, DIST, seed=42)
+        b = stage_dataset(example, 1, 20, DIST, seed=42)
         assert not np.array_equal(a.X[0], b.X[0])
 
     def test_plant_answers_are_exact(self, example):
@@ -129,14 +129,14 @@ class TestSampling:
                              np.eye(8), np.eye(4), np.eye(8),
                              rng.standard_normal(8), rng.standard_normal(8))
         for inst, l in ((example, 15), (wide, sample_threshold(8, 4))):
-            dist = default_gaussian_spec(inst.n, inst.m)
-            ds = stage_dataset(SimulatedPlant(inst), 2, l, dist, seed=3)
+            dist = GaussianSpec()
+            ds = stage_dataset(inst, 2, l, dist, seed=3)
             assert ds.Xn.shape == (l, inst.n)
             for x, u, x_next in zip(ds.X, ds.U, ds.Xn):
                 npt.assert_array_equal(x_next, inst.A[2] @ x + inst.B[2] @ u)
 
     def test_full_rank_at_example_count(self, example):
-        ds = stage_dataset(SimulatedPlant(example), 0, 30, DIST2, seed=GOLDEN_LEARN_SEED)
+        ds = stage_dataset(example, 0, 30, DIST, seed=GOLDEN_LEARN_SEED)
         Z = np.hstack([ds.X, ds.U, ds.L])
         assert np.linalg.matrix_rank(regressor_matrix(Z)) == 15
 
@@ -204,8 +204,8 @@ class TestTargets:
 
 class TestFitStage:
     def test_example_terminal_kernel(self, example):
-        ds = stage_dataset(SimulatedPlant(example), 2, GOLDEN_LEARN_SAMPLES,
-                           DIST2, seed=GOLDEN_LEARN_SEED)
+        ds = stage_dataset(example, 2, GOLDEN_LEARN_SAMPLES,
+                           DIST, seed=GOLDEN_LEARN_SEED)
         gamma = terminal_targets(ds, example)
         Lam, residual, _ = fit(ds, gamma)
         npt.assert_allclose(pack_symmetric(Lam), PRINTED_NU[2], atol=1e-6)
@@ -213,7 +213,7 @@ class TestFitStage:
         assert residual <= RESIDUAL_WARN_RTOL * np.linalg.norm(gamma)
 
     def test_zero_targets_give_zero_kernel(self, example):
-        ds = stage_dataset(SimulatedPlant(example), 2, 15, DIST2, seed=1)
+        ds = stage_dataset(example, 2, 15, DIST, seed=1)
         Lam, _, _ = fit(ds, np.zeros(15))
         npt.assert_allclose(Lam, 0.0, atol=1e-14)
 
@@ -221,13 +221,13 @@ class TestFitStage:
         rng = np.random.default_rng(12)
         S = rng.standard_normal((5, 5))
         target = (S + S.T) / 2.0
-        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=2)
+        ds = stage_dataset(example, 1, 15, DIST, seed=2)
         gamma = np.array([z @ target @ z for z in np.hstack([ds.X, ds.U, ds.L])])
         Lam, _, _ = fit(ds, gamma)
         npt.assert_allclose(Lam, target, atol=1e-9)
 
     def test_duplicate_rows_lose_rank(self, example):
-        ds = stage_dataset(SimulatedPlant(example), 0, 15, DIST2, seed=4)
+        ds = stage_dataset(example, 0, 15, DIST, seed=4)
         dup = rows(ds, list(range(14)) + [0])
         gamma = terminal_targets(dup, example)
         with pytest.raises(RankDeficient) as err:
@@ -235,7 +235,7 @@ class TestFitStage:
         assert err.value.rank == 14
 
     def test_order_invariance(self, example):
-        ds = stage_dataset(SimulatedPlant(example), 2, 25, DIST2, seed=6)
+        ds = stage_dataset(example, 2, 25, DIST, seed=6)
         gamma = terminal_targets(ds, example)
         Lam, _, _ = fit(ds, gamma)
         perm = np.random.default_rng(7).permutation(25)
@@ -272,8 +272,8 @@ class TestReferenceFit:
             sched = solve_schedule(inst)
             k = int(rng.integers(0, inst.N + 1))
             p = sample_threshold(inst.n, inst.m)
-            ds = stage_dataset(SimulatedPlant(inst), k, p + 10,
-                               default_gaussian_spec(inst.n, inst.m), seed=t)
+            ds = stage_dataset(inst, k, p + 10,
+                               GaussianSpec(), seed=t)
             cases = {"square": list(range(p)), "over": list(range(p + 10)),
                      "short": list(range(p - 1)),
                      "duplicate-square": list(range(p - 1)) + [0],
@@ -319,31 +319,32 @@ class TestReferenceFit:
 
 class TestExtractStage:
     def test_example_terminal_extraction(self, example):
-        ex = extract_stage(2, unpack_symmetric(PRINTED_NU[2], 5), G_next=np.zeros((2, 2)))
-        npt.assert_allclose(ex.K, PRINTED_K[2], atol=1e-3)
-        npt.assert_allclose(ex.K1, PRINTED_K1[2], atol=1e-3)
-        npt.assert_allclose(ex.P, PRINTED_P[2], atol=1e-3)
+        K, K1, P, _, _ = extract_stage(2, unpack_symmetric(PRINTED_NU[2], 5),
+                                       G_next=np.zeros((2, 2)))
+        npt.assert_allclose(K, PRINTED_K[2], atol=1e-3)
+        npt.assert_allclose(K1, PRINTED_K1[2], atol=1e-3)
+        npt.assert_allclose(P, PRINTED_P[2], atol=1e-3)
 
     def test_decoupled_blocks(self):
         Lam = np.zeros((5, 5))
         Lam[:2, :2] = np.array([[2.0, 1.0], [1.0, 3.0]])
         Lam[2, 2] = 4.0
         Lam[3:, 3:] = -np.eye(2)
-        ex = extract_stage(0, Lam, G_next=np.eye(2))
-        npt.assert_array_equal(ex.K, np.zeros((1, 2)))
-        npt.assert_array_equal(ex.K1, np.zeros((1, 2)))
-        npt.assert_array_equal(ex.P, Lam[:2, :2])
-        npt.assert_array_equal(ex.G, np.eye(2))
+        K, K1, P, _, G = extract_stage(0, Lam, G_next=np.eye(2))
+        npt.assert_array_equal(K, np.zeros((1, 2)))
+        npt.assert_array_equal(K1, np.zeros((1, 2)))
+        npt.assert_array_equal(P, Lam[:2, :2])
+        npt.assert_array_equal(G, np.eye(2))
 
     def test_model_assembled_round_trip(self, example, example_schedule):
         for k in range(example.N + 1):
             Lam = model_kernel(example, example_schedule, k)
-            ex = extract_stage(k, Lam, G_next=example_schedule.G[k + 1])
-            npt.assert_allclose(ex.K, example_schedule.K[k], atol=1e-10)
-            npt.assert_allclose(ex.K1, example_schedule.K1[k], atol=1e-10)
-            npt.assert_allclose(ex.P, example_schedule.P[k], atol=1e-10)
-            npt.assert_allclose(ex.Phi_row, example_schedule.Phi[k], atol=1e-10)
-            npt.assert_allclose(ex.G, example_schedule.G[k], atol=1e-10)
+            K, K1, P, Phi_row, G = extract_stage(k, Lam, G_next=example_schedule.G[k + 1])
+            npt.assert_allclose(K, example_schedule.K[k], atol=1e-10)
+            npt.assert_allclose(K1, example_schedule.K1[k], atol=1e-10)
+            npt.assert_allclose(P, example_schedule.P[k], atol=1e-10)
+            npt.assert_allclose(Phi_row, example_schedule.Phi[k], atol=1e-10)
+            npt.assert_allclose(G, example_schedule.G[k], atol=1e-10)
 
     def test_indefinite_input_block_refused(self):
         with pytest.raises(SingularBlock):
@@ -399,7 +400,7 @@ class TestLearn:
             l = sample_threshold(inst.n, inst.m)
             ls = learn(SimulatedPlant(inst), (inst.n, inst.m, inst.N),
                        (inst.Q, inst.R, inst.H), inst.x0, inst.xi, l,
-                       default_gaussian_spec(inst.n, inst.m),
+                       GaussianSpec(),
                        seed=int(rng.integers(2 ** 63)))
             for k in range(inst.N + 1):
                 npt.assert_allclose(ls.K[k], sched.K[k], atol=1e-8)
@@ -408,7 +409,7 @@ class TestLearn:
 
     def test_lambda_probe_mean_shift_leaves_k_and_p(self, example):
         base = example_learned(example)
-        shifted = example_learned(example, dist=default_gaussian_spec(2, 1, mean=2.5))
+        shifted = example_learned(example, dist=GaussianSpec(mean=2.5))
         for k in range(example.N + 1):
             npt.assert_allclose(shifted.K[k], base.K[k], atol=1e-8)
             npt.assert_allclose(shifted.P[k], base.P[k], atol=1e-8)
@@ -421,8 +422,8 @@ class TestLearn:
         inst = make_instance(example.A, example.B, example.Q, example.R, H,
                              example.x0, example.xi)
         ls = example_learned(inst)
-        ds = stage_dataset(SimulatedPlant(inst), inst.N, GOLDEN_LEARN_SAMPLES,
-                           DIST2, seed=GOLDEN_LEARN_SEED)
+        ds = stage_dataset(inst, inst.N, GOLDEN_LEARN_SAMPLES,
+                           DIST, seed=GOLDEN_LEARN_SEED)
         Lam, residual, _ = fit(ds, terminal_targets(ds, inst))
         npt.assert_array_equal(ls.Lambda[inst.N], Lam)
         assert ls.fit_diagnostics.residual[inst.N] == residual
@@ -435,7 +436,7 @@ class TestLearn:
                              example.x0, example.xi)
         with pytest.raises(NotReachable):
             learn(SimulatedPlant(inst), (2, 1, 2), (inst.Q, inst.R, inst.H),
-                  inst.x0, inst.xi, 15, DIST2, seed=0)
+                  inst.x0, inst.xi, 15, DIST, seed=0)
 
 
 class TestReferenceLearn:
@@ -504,9 +505,9 @@ class TestReferenceLearn:
         dims = (3, 2, 64)
         inst = self.native_instance(dims)
         l = sample_threshold(3, 2)
-        dist = default_gaussian_spec(3, 2)
+        dist = GaussianSpec()
         # stage 30 sits inside the second block of stages 39..15
-        log = replay_of([stage_dataset(SimulatedPlant(inst), k, l, dist, seed=7)
+        log = replay_of([stage_dataset(inst, k, l, dist, seed=7)
                          for k in range(inst.N + 1) if k != 30])
         err = self.assert_same(inst, l, seed=7, oracle=log)
         assert isinstance(err, OracleMiss) and "stage 30 " in str(err)
@@ -518,9 +519,9 @@ class TestReferenceLearn:
 
     def test_oracle_miss_precedes_rank_verdict_of_its_stage(self, example):
         # probes 1 + 1e-20 z round to 1.0: every regressor has rank 1
-        flat = default_gaussian_spec(2, 1, mean=1.0, covariance_scale=1e-40)
+        flat = GaussianSpec(mean=1.0, covariance_scale=1e-40)
         assert isinstance(self.assert_same(example, 15, seed=3, dist=flat), RankDeficient)
-        partial = replay_of([stage_dataset(SimulatedPlant(example), k, 15, flat, seed=3)
+        partial = replay_of([stage_dataset(example, k, 15, flat, seed=3)
                              for k in range(example.N)])
         assert isinstance(self.assert_same(example, 15, seed=3, oracle=partial, dist=flat),
                           OracleMiss)
@@ -539,24 +540,24 @@ class TestReferenceLearn:
 
 class TestReplayLog:
     def test_serves_recorded_transitions(self, example):
-        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        ds = stage_dataset(example, 1, 15, DIST, seed=5)
         log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
         npt.assert_array_equal(log.step(1, ds.X[3:4], ds.U[3:4]), ds.Xn[3:4])
 
     def test_miss_raises(self, example):
-        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        ds = stage_dataset(example, 1, 15, DIST, seed=5)
         log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
         with pytest.raises(OracleMiss):
             log.step(0, ds.X[:1], ds.U[:1])
 
     def test_permuted_batch_answered_in_query_order(self, example):
-        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        ds = stage_dataset(example, 1, 15, DIST, seed=5)
         log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
         perm = np.random.default_rng(3).permutation(15)
         npt.assert_array_equal(log.step(1, ds.X[perm], ds.U[perm]), ds.Xn[perm])
 
     def test_single_unrecorded_row_misses(self, example):
-        ds = stage_dataset(SimulatedPlant(example), 1, 15, DIST2, seed=5)
+        ds = stage_dataset(example, 1, 15, DIST, seed=5)
         log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
         X = ds.X.copy()
         X[7, 0] = np.nextafter(X[7, 0], np.inf)
@@ -564,13 +565,13 @@ class TestReplayLog:
             log.step(1, X, ds.U)
 
     def test_replay_reproduces_plant_learning(self, example):
-        datasets = [stage_dataset(SimulatedPlant(example), k,
-                                  GOLDEN_LEARN_SAMPLES, DIST2,
+        datasets = [stage_dataset(example, k,
+                                  GOLDEN_LEARN_SAMPLES, DIST,
                                   seed=GOLDEN_LEARN_SEED)
                     for k in range(example.N + 1)]
         from_log = learn(replay_of(datasets), (example.n, example.m, example.N),
                          (example.Q, example.R, example.H), example.x0, example.xi,
-                         GOLDEN_LEARN_SAMPLES, DIST2, seed=GOLDEN_LEARN_SEED)
+                         GOLDEN_LEARN_SAMPLES, DIST, seed=GOLDEN_LEARN_SEED)
         from_plant = example_learned(example)
         npt.assert_array_equal(from_log.lambda_star, from_plant.lambda_star)
         npt.assert_array_equal(from_log.Lambda, from_plant.Lambda)
