@@ -7,10 +7,11 @@ byte-deterministic JSON; exit status encodes the failure class, the
 ``exit_code`` of the TermLqError raised:
 
     0  success
-    2  validation failure (bad instance data, missing seed, singular blocks,
-       a non-finite rollout state or cost, reachability products, backward
-       pass or learned fit that overflow)
-    3  terminal target not reachable / constraint infeasible
+    2  validation failure (bad instance data, missing seed, singular blocks)
+       or an overflow: a non-finite rollout state or cost, reachability
+       products, backward pass, learned fit or range-test residual
+    3  terminal target not reachable / constraint infeasible: a finite
+       residual above the range tolerance
     4  rank-deficient or insufficient data
     5  I/O or parse error, an unwritable --out included
 
@@ -22,6 +23,7 @@ used, from --seed or the instance's learn block.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
@@ -38,7 +40,6 @@ from .fileio import (
     write_report,
 )
 from .harness import CampaignSpec, monte_carlo, verify_solution
-from .linalg import numerical_rank
 from .model import (
     ProblemInstance,
     check_reachability,
@@ -73,8 +74,12 @@ def _schedule_dict(sched) -> dict:
             for name, X in (("P", sched.P), ("K", sched.K), ("K1", sched.K1))}
 
 
-def _trajectory_dict(traj) -> dict:
-    return {"states": traj.states.tolist(), "inputs": traj.inputs.tolist()}
+def _landing(lambda_star, traj) -> dict:
+    # the multiplier and the rollout it lands, closing every solve, learn
+    # and verify report
+    return {"lambda_star": lambda_star.tolist(),
+            "trajectory": {"states": traj.states.tolist(), "inputs": traj.inputs.tolist()},
+            "cost": traj.cost, "terminal_error": traj.terminal_error}
 
 
 def _resolve_learn_options(args, doc: InstanceFile | None) -> None:
@@ -106,10 +111,7 @@ def _cmd_solve(args, doc: InstanceFile) -> dict:
     traj = rollout(inst, optimal_policy(sched, lamsol.lambda_star))
     report = _head("solve", None, inst)
     report["schedule"] = _schedule_dict(sched)
-    report["lambda_star"] = lamsol.lambda_star.tolist()
-    report["trajectory"] = _trajectory_dict(traj)
-    report["cost"] = traj.cost
-    report["terminal_error"] = traj.terminal_error
+    report.update(_landing(lamsol.lambda_star, traj))
     return report
 
 
@@ -130,10 +132,7 @@ def _cmd_learn(args, doc: InstanceFile) -> dict:
         "residuals": learned.fit_diagnostics.residual.tolist(),
         "conditions": learned.fit_diagnostics.cond.tolist(),
     }
-    report["lambda_star"] = learned.lambda_star.tolist()
-    report["trajectory"] = _trajectory_dict(traj)
-    report["cost"] = traj.cost
-    report["terminal_error"] = traj.terminal_error
+    report.update(_landing(learned.lambda_star, traj))
     return report
 
 
@@ -145,14 +144,10 @@ def _cmd_verify(args, doc: InstanceFile) -> dict:
                     (inst.Q, inst.R, inst.H), inst.x0, inst.xi, args.samples, args.dist,
                     args.seed)
     comparison = verify_solution(inst, sched, lamsol, learned)
-    traj = comparison.model_trajectory
     report = _head("verify", args.seed, inst)
     report["samples"] = args.samples
     report["schedule"] = _schedule_dict(sched)
-    report["lambda_star"] = lamsol.lambda_star.tolist()
-    report["trajectory"] = _trajectory_dict(traj)
-    report["cost"] = traj.cost
-    report["terminal_error"] = traj.terminal_error
+    report.update(_landing(lamsol.lambda_star, comparison.model_trajectory))
     report["comparison"] = {
         "max_gain_error": comparison.max_gain_error,
         "lambda_error": comparison.lambda_error,
@@ -172,28 +167,15 @@ def _cmd_reach(args, doc: InstanceFile) -> tuple[dict, int]:
     result = check_reachability(inst)
     report = _head("reach", None, inst)
     report["reachable"] = result.reachable
-    report["g1_rank"] = numerical_rank(result.G1)
+    report["g1_rank"] = result.rank
     report["zeta"] = result.zeta.tolist() if result.zeta is not None else None
     return report, 0 if result.reachable else 3
 
 
 def _cmd_campaign(args, _doc: None) -> dict:
     spec = CampaignSpec(count=args.trials, seed=args.seed, samples=args.samples)
-    summary = monte_carlo(spec)
-
-    def stats(s) -> dict:
-        return {"max": s.max, "median": s.median, "p95": s.p95}
-
     report = _head("campaign", args.seed, None)
-    report["summary"] = {
-        "trials": summary.trials,
-        "completed": summary.completed,
-        "failures": summary.failures,
-        "gain_error": stats(summary.gain_error),
-        "lambda_error": stats(summary.lambda_error),
-        "cost_gap": stats(summary.cost_gap),
-        "terminal_error": stats(summary.terminal_error),
-    }
+    report["summary"] = dataclasses.asdict(monte_carlo(spec))
     return report
 
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleConstraint, SingularKkt, TermLqError, ValidationError
-from .linalg import Array, block_tridiagonal_solve, min_norm_solve, range_tol, ro, sym
+from .errors import (InfeasibleConstraint, NonFiniteState, SingularKkt, TermLqError,
+                     ValidationError)
+from .linalg import Array, block_tridiagonal_solve, range_solve, ro, sym
 from .model import (
     LambdaSolution,
     ModelSchedule,
@@ -131,8 +132,8 @@ def kkt_oracle(inst: ProblemInstance) -> KktSolution:
     unit columns together, at a cost linear in N; the dense KKT matrix is
     never formed. The border reduces to the n x n terminal Schur complement
     Sigma: Sigma mu = x_free - xi, where x_free is the terminal state at
-    mu = 0. Feasibility is decided there: the minimum-norm solve must leave
-    a residual within the shared range tolerance, else InfeasibleConstraint.
+    mu = 0. Feasibility is decided there by linalg.range_solve: a miss is
+    InfeasibleConstraint; an overflow there or in the cost, NonFiniteState.
     The Gramian test in check_reachability decides membership in the same
     subspace through a different matrix, so the two verdicts cross-validate
     each other. The minimum-norm mu has no part in unreachable directions.
@@ -166,11 +167,10 @@ def kkt_oracle(inst: ProblemInstance) -> KktSolution:
         raise SingularKkt(f"KKT system singular: {exc}") from exc
 
     Sigma = sym(Z[-1, ix, 1:])
-    mu, miss, _ = min_norm_solve(Sigma, Z[-1, ix, 0] - inst.xi)
-    if miss > range_tol(inst.xi):
-        raise InfeasibleConstraint(
-            f"terminal constraint inconsistent: range residual {miss:.6e} "
-            f"exceeds tolerance {range_tol(inst.xi):.6e}")
+    mu, _, _, miss = range_solve(Sigma, Z[-1, ix, 0] - inst.xi, inst.xi,
+                                 "terminal constraint range")
+    if miss is not None:
+        raise InfeasibleConstraint(f"terminal constraint inconsistent: range {miss}")
     z = Z[:, :, 0] - Z[:, :, 1:] @ mu
     if not (np.isfinite(z).all() and np.isfinite(mu).all()):
         raise SingularKkt("KKT solve produced non-finite entries")
@@ -182,6 +182,8 @@ def kkt_oracle(inst: ProblemInstance) -> KktSolution:
     U = z[:, iu]
     X = np.vstack([inst.x0, z[:, ix]])
     cost = float(np.sum((X[:-1] @ Q) * X[:-1]) + np.sum((U @ R) * U) + X[-1] @ H @ X[-1])
+    if not np.isfinite(cost):
+        raise NonFiniteState("KKT optimum cost is non-finite")
     resid = max(float(np.abs(rows).max()), float(np.abs(X[-1] - inst.xi).max()))
     return KktSolution(u_stacked=ro(U.reshape(-1)), multiplier=ro(mu), cost=cost,
                        kkt_residual=resid, costates=ro(z[:, ip]))

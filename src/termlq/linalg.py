@@ -1,10 +1,12 @@
-"""Small shared numerical kernels: symmetry, definiteness tests with scaled
-tolerances, minimum-norm linear solves, and a block-tridiagonal solve."""
+"""Small shared numerical kernels, the one owner of every numerical verdict
+(definiteness, rank cutoff, range test), and a block-tridiagonal solve."""
 
 from __future__ import annotations
 
 import numpy as np
 import numpy.typing as npt
+
+from .errors import NonFiniteState
 
 Array = npt.NDArray[np.float64]
 
@@ -27,7 +29,8 @@ def ro(a) -> Array:
 
 
 def min_eigenvalue(M: Array) -> float:
-    return float(np.linalg.eigvalsh(sym(M))[0])
+    # M is symmetric (sym output, or checked as such): eigvalsh reads one triangle
+    return float(np.linalg.eigvalsh(M)[0])
 
 
 def _scaled_tol(M: Array) -> float:
@@ -47,36 +50,44 @@ def is_pd(M: Array) -> tuple[bool, float]:
     return lo > _scaled_tol(M), lo
 
 
-def rank_cutoff(M: Array, s: Array) -> float:
+def rank_cutoff(M: Array, s: Array, scale: float = 0.0) -> float:
+    # singular values s of M up to this count as zero; scale floors sigma_max
     smax = float(s[0]) if s.size else 0.0
-    return max(M.shape) * smax * RANK_RTOL
-
-
-def numerical_rank(M: Array) -> int:
-    s = np.linalg.svd(M, compute_uv=False)
-    return int((s > rank_cutoff(M, s)).sum())
+    return max(M.shape) * max(smax, float(scale)) * RANK_RTOL
 
 
 def min_norm_solve(M: Array, rhs: Array, scale: float = 0.0) -> tuple[Array, float, int]:
     """Minimum-norm least-squares solution of M y = rhs.
 
     Returns (y, residual 2-norm, numerical rank of M). Uses the singular
-    value decomposition with the shared rank cutoff so every module applies
-    one range test. A positive scale widens the cutoff reference beyond
-    sigma_max: callers whose M carries noise from an earlier computation
-    pass that computation's magnitude so a numerically-zero M keeps rank 0
-    instead of inverting its own noise.
+    value decomposition with the shared rank cutoff. A positive scale widens
+    the cutoff reference beyond sigma_max: callers whose M carries noise
+    from an earlier computation pass that computation's magnitude so a
+    numerically-zero M keeps rank 0 instead of inverting its own noise.
     """
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = max(M.shape) * max(smax, float(scale)) * RANK_RTOL
-    keep = s > cutoff
+    keep = s > rank_cutoff(M, s, scale)
     rank = int(keep.sum())
     coeff = np.zeros_like(s)
     coeff[keep] = (U.T @ rhs)[keep] / s[keep]
     y = Vt.T @ coeff
     resid = float(np.linalg.norm(M @ y - rhs))
     return y, resid, rank
+
+
+def range_solve(M: Array, rhs: Array, ref: Array, what: str,
+                scale: float = 0.0) -> tuple[Array, float, int, str | None]:
+    """The one range test: min_norm_solve(M, rhs, scale) with its residual
+    judged against range_tol(ref). Returns (y, residual, rank, miss): miss
+    is None when rhs is in range, else "residual R exceeds tolerance T" for
+    the caller to raise in its own class. Raises NonFiniteState naming the
+    equation `what` when the residual overflows: never a verdict."""
+    y, resid, rank = min_norm_solve(M, rhs, scale)
+    if not np.isfinite(resid):
+        raise NonFiniteState(f"{what} residual is non-finite: the solve overflows")
+    tol = range_tol(ref)
+    miss = None if resid <= tol else f"residual {resid:.6e} exceeds tolerance {tol:.6e}"
+    return y, resid, rank, miss
 
 
 def block_tridiagonal_solve(diag: Array, sub: Array, rhs: Array) -> Array:

@@ -31,7 +31,7 @@ from .errors import (
     StageOutOfRange,
     ValidationError,
 )
-from .linalg import Array, is_pd, is_psd, min_norm_solve, range_tol, ro, sym
+from .linalg import Array, is_pd, is_psd, range_solve, ro, sym
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,11 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ReachabilityResult:
+    """Gramian verdict, with the rank of G1 that its range solve took."""
+
     reachable: bool
     G1: Array
+    rank: int
     zeta: Array | None
 
 
@@ -167,10 +170,8 @@ def require_valid(inst: ProblemInstance) -> None:
         _check(name, gap <= 1e-12 * max(1.0, float(np.abs(M).max())), f"asymmetry {gap:.3e}")
     for name, M, test in (("Q_psd", inst.Q, is_psd), ("R_pd", inst.R, is_pd),
                           ("H_psd", inst.H, is_psd)):
-        S = sym(M)
-        okd, lo = test(S)
-        _check(name, okd, f"eigenvalue {lo:.6e}" if np.isfinite(S).all()
-               else "entries overflow when symmetrized")
+        okd, lo = test(M)
+        _check(name, okd, f"eigenvalue {lo:.6e}")
 
 
 def riccati_backward(inst: ProblemInstance) -> tuple[Array, Array, Array]:
@@ -249,14 +250,13 @@ def check_reachability(inst: ProblemInstance) -> ReachabilityResult:
 
         G1 = sum_k T(k) T(k)',   T(k) = [A(N)...A(k+1)] B(k)
 
-    decided by the residual of a minimum-norm solve against the relative
-    range tolerance. Returns the minimum-norm certificate zeta when
-    reachable.
+    decided by linalg.range_solve. Returns the rank of G1 that the solve
+    took, and the minimum-norm certificate zeta when reachable.
 
     One backward sweep over k = N..0 carries M = A(N)...A(k+1): T(k) = M B(k)
     fills a column block of C = [T(0) ... T(N)], then M <- M A(k). So
     G1 = C C', the final M is the full drift A(N)...A(0), and the cost is
-    linear in N. Raises NonFiniteState when the products overflow.
+    linear in N. Raises NonFiniteState when the products or the solve overflow.
     """
     N, n, m = inst.N, inst.n, inst.m
     C = np.empty((n, m * (N + 1)))
@@ -268,24 +268,21 @@ def check_reachability(inst: ProblemInstance) -> ReachabilityResult:
     rhs = inst.xi - M @ inst.x0
     if not (np.isfinite(G1).all() and np.isfinite(rhs).all()):
         raise NonFiniteState(f"reachability Gramian or drift term is non-finite at N={N}")
-    zeta, resid, _ = min_norm_solve(G1, rhs)
-    reachable = resid <= range_tol(inst.xi)
-    return ReachabilityResult(reachable=reachable, G1=ro(G1),
-                              zeta=ro(zeta) if reachable else None)
+    zeta, _, rank, miss = range_solve(G1, rhs, inst.xi, "reachability equation")
+    return ReachabilityResult(reachable=miss is None, G1=ro(G1), rank=rank,
+                              zeta=ro(zeta) if miss is None else None)
 
 
 def solve_lambda(sched: ModelSchedule, inst: ProblemInstance) -> LambdaSolution:
     """Minimum-norm multiplier from Phi(0,N) x0 - G(0) lambda = xi.
 
-    Raises NotReachable when the residual exceeds the range tolerance
-    (callers should consult check_reachability for the certificate).
+    Raises NotReachable on a range miss (check_reachability gives the
+    certificate), or NonFiniteState when the solve overflows.
     """
     rhs = sched.Phi[0] @ inst.x0 - inst.xi
-    lam, resid, rank = min_norm_solve(sched.G[0], rhs)
-    if resid > range_tol(inst.xi):
-        raise NotReachable(
-            f"multiplier equation residual {resid:.6e} exceeds tolerance "
-            f"{range_tol(inst.xi):.6e}")
+    lam, resid, rank, miss = range_solve(sched.G[0], rhs, inst.xi, "multiplier equation")
+    if miss is not None:
+        raise NotReachable(f"multiplier equation {miss}")
     return LambdaSolution(lambda_star=ro(lam), residual=resid, min_norm=rank < inst.n)
 
 

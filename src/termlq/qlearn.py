@@ -39,7 +39,7 @@ from .errors import (
     RankDeficient,
     SingularBlock,
 )
-from .linalg import Array, is_pd, min_norm_solve, range_tol, rank_cutoff, ro, sym
+from .linalg import Array, is_pd, range_solve, rank_cutoff, ro, sym
 from .model import ProblemInstance, optimal_policy
 
 # fitted residuals above this fraction of ||gamma|| get flagged
@@ -373,8 +373,8 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
 
         [-L33(0) - L32(0) K1(0)] lambda = Phi(0,N) x0 - xi
 
-    by the minimum-norm pseudoinverse. Raises NotReachable when that system
-    is inconsistent beyond the range tolerance.
+    by the minimum-norm pseudoinverse. Raises NotReachable on a range miss,
+    or NonFiniteState when the solve overflows.
     """
     n, m, N = dims
     Q, R, H = (np.asarray(W, dtype=float) for W in cost)
@@ -416,11 +416,10 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
     # rank the multiplier system against the fitted kernel magnitude: fit
     # noise in a numerically zero G(0) must not pass for invertible
     kernel_scale = float(np.abs(Lambda[0]).max())
-    lam, resid, _ = min_norm_solve(M, Phi[0] @ x0 - xi, scale=kernel_scale)
-    if resid > range_tol(xi):
-        raise NotReachable(
-            f"learned multiplier equation residual {resid:.6e} exceeds "
-            f"tolerance {range_tol(xi):.6e}")
+    lam, _, _, miss = range_solve(M, Phi[0] @ x0 - xi, xi, "learned multiplier equation",
+                                  scale=kernel_scale)
+    if miss is not None:
+        raise NotReachable(f"learned multiplier equation {miss}")
 
     diagnostics = FitDiagnostics(residual=ro(residual), cond=ro(cond),
                                  high_residual=ro(residual > RESIDUAL_WARN_RTOL * gamma_norm))

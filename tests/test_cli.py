@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -429,58 +431,181 @@ class TestLearnBlock:
         assert json.loads(proc.stdout)["error"] == {"code": error, "message": message}
 
 
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "example_instance.json"
+# the fixture rows whose overflow reaches a range test, or fails before one
+OVERFLOW_ROWS = {f"{field}=1e+200" for field in ("A", "B", "x0", "xi")}
+
+
 def extreme_docs():
     """(id, instance document): the fixture with the first entry of one
     field set to one extreme value, then the two backward-pass overflows."""
-    fixture = Path(__file__).resolve().parents[1] / "fixtures" / "example_instance.json"
     for field in ("A", "B", "Q", "R", "H", "x0", "xi"):
         for value in (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, 1e154, 1e-320, -0.0):
-            doc = json.loads(fixture.read_text())
+            doc = json.loads(FIXTURE.read_text())
             entry = doc[field]
             while isinstance(entry[0], list):
                 entry = entry[0]
             entry[0] = value
-            yield f"{field}={value!r}", doc
+            yield f"{field}={value!r}", json.dumps(doc)
     for N in (1, 0):
-        yield f"overflow-N{N}", overflow_doc(N)
+        yield f"overflow-N{N}", json.dumps(overflow_doc(N))
+
+
+def _lists(value):
+    # every list nested in a JSON value, outermost first
+    if isinstance(value, list):
+        yield value
+        for v in value:
+            yield from _lists(v)
+
+
+def mutated_docs():
+    """(id, instance document text): the fixture under one seeded random
+    mutation each, drawn with stdlib random: a wrong shape, a missing,
+    extra or retyped key, or the file cut at a random byte."""
+    text = FIXTURE.read_text()
+    rng = random.Random(18)
+    for key in ("A", "B", "Q", "R", "H", "x0", "xi"):
+        for how in ("drop", "repeat", "wrap", "unwrap"):
+            doc = json.loads(text)
+            target = rng.choice(list(_lists(doc[key])))
+            if how == "drop":
+                del target[rng.randrange(len(target))]
+            elif how == "repeat":
+                target.insert(rng.randrange(len(target) + 1), copy.deepcopy(rng.choice(target)))
+            else:
+                doc[key] = [doc[key]] if how == "wrap" else doc[key][0]
+            yield f"shape-{key}-{how}", json.dumps(doc)
+    retypes = ("2", 2.5, True, None, {}, [], [["x"]], -1, 10 ** 30)
+    for key in ("n", "m", "N", "A", "B", "Q", "R", "H", "x0", "xi", "learn"):
+        doc = json.loads(text)
+        del doc[key]
+        yield f"missing-{key}", json.dumps(doc)
+        doc = json.loads(text)
+        doc[key] = rng.choice(retypes)
+        yield f"retyped-{key}", json.dumps(doc)
+        doc = json.loads(text)
+        if key in ("n", "m", "N", "learn"):
+            continue
+        entry = rng.choice([v for v in _lists(doc[key]) if not isinstance(v[0], list)])
+        entry[rng.randrange(len(entry))] = rng.choice(("1", "x", True, None, [1.0], {}))
+        yield f"retyped-entry-{key}", json.dumps(doc)
+    for where, extra in (("root", {"extra": 1}), ("learn", {"bogus": 1})):
+        doc = json.loads(text)
+        (doc if where == "root" else doc["learn"]).update(extra)
+        yield f"extra-key-{where}", json.dumps(doc)
+    for cut in sorted(rng.sample(range(len(text)), 12)):
+        yield f"truncated-at-{cut}", text[:cut]
+
+
+def replay_mutations():
+    """(id, mutation of the list of replay-log lines, given a random.Random):
+    one damage each to the log of the fixture's learn run (seed 7, l = 30)."""
+    def edit_field(value):
+        def mutate(lines, rng):
+            i = rng.randrange(len(lines))
+            fields = lines[i].split()
+            fields[rng.randrange(len(fields))] = value
+            lines[i] = " ".join(fields)
+        return mutate
+
+    def set_stage(stage):
+        def mutate(lines, rng):
+            i = rng.randrange(len(lines))
+            lines[i] = " ".join([str(stage), *lines[i].split()[1:]])
+        return mutate
+
+    def field_count(delta):
+        def mutate(lines, rng):
+            i = rng.randrange(len(lines))
+            fields = lines[i].split()
+            lines[i] = " ".join(fields[:delta] if delta < 0 else fields + ["1.0"] * delta)
+        return mutate
+
+    def truncate_last(lines, rng):
+        lines[-1] = lines[-1][:rng.randrange(1, len(lines[-1]))]
+
+    def drop_row(lines, rng):
+        del lines[rng.randrange(len(lines))]
+
+    yield from (("fields-short", field_count(-1)), ("fields-long", field_count(2)),
+                ("non-numeric", edit_field("x")), ("non-finite", edit_field("nan")),
+                ("non-integer-stage", set_stage(1.5)),
+                ("stage-beyond-N", set_stage(3)), ("stage-negative", set_stage(-1)),
+                ("stage-beyond-int64", set_stage(2 ** 63)), ("truncated-last-line", truncate_last),
+                ("truncated-last-line-again", truncate_last), ("unrecorded-row", drop_row))
 
 
 EXTREME_DOCS = dict(extreme_docs())
+MUTATED_DOCS = dict(mutated_docs())
+REPLAY_MUTATIONS = dict(replay_mutations())
+
+
+def check_contract(argv, seed, capsys) -> dict:
+    """Run one command in-process with warnings raised as errors: a class
+    exit code and one JSON report carrying the seed used; a failure names a
+    TermLqError class (never IoError, never an eigenvalue nan or inf) on one
+    stderr line. Returns the report."""
+    command = argv[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["seed"] == (seed if command in ("learn", "verify") else None), command
+    if "error" not in report:
+        assert code == (3 if report.get("reachable") is False else 0), command
+        assert err == "", command
+        return report
+    error = report["error"]
+    cls = getattr(termlq, error["code"])
+    assert issubclass(cls, TermLqError) and cls is not IoError, (command, error)
+    assert code == cls.exit_code, (command, error)
+    assert err.splitlines() == [f"termlq {command}: {error['message']}"]
+    assert not re.search(r"eigenvalue -?(nan|inf)", error["message"]), (command, error)
+    return report
+
+
+def settled_seed(path):
+    # the seed learn and verify report: the instance's, or None when the
+    # file is refused before any seed is settled
+    try:
+        with np.errstate(all="ignore"):
+            return load_instance_file(path).seed
+    except TermLqError:
+        return None
 
 
 class TestExtremeValues:
-    """Every command on every extreme document, in-process with warnings
-    raised as errors: a class exit code and one JSON report carrying the
-    seed used; a failure names a TermLqError class (never IoError, never an
-    eigenvalue nan or inf) on one stderr line."""
+    """Every command on every extreme or mutated instance document, and
+    learn on every damaged replay log, under check_contract."""
 
     @pytest.mark.parametrize("name", list(EXTREME_DOCS))
     def test_typed_outcome(self, name, tmp_path, capsys):
-        doc = EXTREME_DOCS[name]
-        p = write_doc(tmp_path, "extreme.json", doc)
-        try:
-            with np.errstate(all="ignore"):
-                load_instance_file(p)
-            seed = doc["learn"]["seed"]
-        except TermLqError:
-            seed = None   # refused before any seed is settled
+        p = tmp_path / "extreme.json"
+        p.write_text(EXTREME_DOCS[name])
         for command in ("solve", "reach", "learn", "verify"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = main([command, "--instance", str(p)])
-            out, err = capsys.readouterr()
-            report = json.loads(out)
-            assert report["seed"] == (seed if command in ("learn", "verify") else None), command
-            if "error" not in report:
-                assert code == (3 if report.get("reachable") is False else 0), command
-                assert err == "", command
-                continue
-            error = report["error"]
-            cls = getattr(termlq, error["code"])
-            assert issubclass(cls, TermLqError) and cls is not IoError, (command, error)
-            assert code == cls.exit_code, (command, error)
-            assert err.splitlines() == [f"termlq {command}: {error['message']}"]
-            assert not re.search(r"eigenvalue -?(nan|inf)", error["message"]), (command, error)
+            report = check_contract([command, "--instance", p], settled_seed(p), capsys)
+            if name in OVERFLOW_ROWS:
+                assert report["error"]["code"] == "NonFiniteState", (command, report["error"])
+
+    @pytest.mark.parametrize("name", list(MUTATED_DOCS))
+    def test_mutated_instance(self, name, tmp_path, capsys):
+        p = tmp_path / "mutated.json"
+        p.write_text(MUTATED_DOCS[name])
+        for command in ("solve", "reach", "learn", "verify"):
+            check_contract([command, "--instance", p], settled_seed(p), capsys)
+
+    @pytest.mark.parametrize("name", list(REPLAY_MUTATIONS))
+    def test_mutated_replay_log(self, name, fixture_file, tmp_path, capsys):
+        log_path = tmp_path / "probes.log"
+        inst = example_instance()
+        write_replay_log([stage_dataset(inst, k, 30, GaussianSpec(), seed=7)
+                          for k in range(inst.N + 1)], log_path)
+        lines = log_path.read_text().splitlines()
+        REPLAY_MUTATIONS[name](lines, random.Random(f"replay-{name}"))
+        log_path.write_text("\n".join(lines) + "\n")
+        check_contract(["learn", "--instance", fixture_file, "--replay", log_path], 7, capsys)
 
 
 class TestEntryPoint:

@@ -11,9 +11,12 @@ from termlq import (
     CampaignSpec,
     GaussianSpec,
     InfeasibleConstraint,
+    NonFiniteState,
+    NotReachable,
     RankDeficient,
     SimulatedPlant,
     ValidationError,
+    check_reachability,
     kkt_oracle,
     learn,
     make_instance,
@@ -29,8 +32,8 @@ from termlq import harness
 from termlq.harness import draw_reachable_instance, random_instance
 from termlq.linalg import block_tridiagonal_solve
 
-from costates import costate_residual
 from golden import example_instance
+from property_checks import stationarity_residual
 
 
 def scalar_instance(x0=1.5, xi=-2.0):
@@ -38,6 +41,12 @@ def scalar_instance(x0=1.5, xi=-2.0):
     zero = np.zeros((1, 1))
     return make_instance([one], [one], zero, one, zero,
                          np.array([x0]), np.array([xi]))
+
+
+def with_x0(inst, x0_first):
+    # the instance with x0[0] replaced: the example stays reachable for any x0
+    return make_instance(inst.A, inst.B, inst.Q, inst.R, inst.H,
+                         np.array([x0_first, *inst.x0[1:]]), inst.xi)
 
 
 def stacked_policy(sol, m):
@@ -74,7 +83,7 @@ class TestKktOracle:
     def test_multiplier_certifies_stationarity(self, example):
         sol = kkt_oracle(example)
         traj = rollout(example, stacked_policy(sol, example.m))
-        assert costate_residual(example, traj, sol.multiplier) <= 1e-8
+        assert stationarity_residual(example, traj.inputs, sol.costates) <= 1e-8
 
     def test_infeasible_target_refused(self, example):
         B0 = [np.zeros((2, 1))] * 3
@@ -104,7 +113,51 @@ class TestKktOracle:
             assert abs(traj.cost - sol.cost) / max(1.0, abs(sol.cost)) <= 1e-8
             npt.assert_allclose(np.concatenate(traj.inputs), sol.u_stacked,
                                 atol=1e-6)
-            assert costate_residual(inst, traj, sol.multiplier) <= 1e-8
+            assert stationarity_residual(inst, traj.inputs, sol.costates) <= 1e-8
+
+
+class TestRangeVerdicts:
+    """linalg.range_solve decides every range question: each site names a
+    finite miss in its own class and words, and an overflowed residual is
+    NonFiniteState naming the equation, never a verdict."""
+
+    def test_finite_miss_messages(self):
+        # B = 0 and a target off the drift: x(1) = 1, xi = 5
+        one, zero = np.eye(1), np.zeros((1, 1))
+        inst = make_instance([one], [zero], zero, one, zero, np.array([1.0]), np.array([5.0]))
+        miss = "residual 4.000000e+00 exceeds tolerance 5.000000e-06"
+        with pytest.raises(NotReachable) as err:
+            solve_lambda(solve_schedule(inst), inst)
+        assert str(err.value) == f"multiplier equation {miss}"
+        with pytest.raises(NotReachable) as err:
+            learn(SimulatedPlant(inst), (1, 1, 0), (inst.Q, inst.R, inst.H), inst.x0,
+                  inst.xi, sample_threshold(1, 1), GaussianSpec(), seed=0)
+        assert str(err.value) == f"learned multiplier equation {miss}"
+        with pytest.raises(InfeasibleConstraint) as err:
+            kkt_oracle(inst)
+        assert str(err.value) == f"terminal constraint inconsistent: range {miss}"
+        assert not check_reachability(inst).reachable
+
+    def test_overflowed_residual_is_non_finite_state(self, example):
+        inst = with_x0(example, 1e200)
+        sites = [
+            ("reachability equation", lambda: check_reachability(inst)),
+            ("multiplier equation", lambda: solve_lambda(solve_schedule(inst), inst)),
+            ("learned multiplier equation",
+             lambda: learn(SimulatedPlant(inst), (2, 1, 2), (inst.Q, inst.R, inst.H), inst.x0,
+                           inst.xi, 30, GaussianSpec(), seed=7)),
+            ("terminal constraint range", lambda: kkt_oracle(inst)),
+        ]
+        for what, call in sites:
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteState) as err:
+                call()
+            assert str(err.value) == f"{what} residual is non-finite: the solve overflows"
+
+    def test_overflowed_oracle_cost_is_non_finite_state(self, example):
+        # the range residual stays finite; the optimal cost overflows
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteState,
+                                                      match="KKT optimum cost is non-finite"):
+            kkt_oracle(with_x0(example, 1e154))
 
 
 class TestLongHorizonOracle:
