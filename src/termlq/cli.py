@@ -9,7 +9,7 @@ byte-deterministic JSON; exit status encodes the failure class, the
     0  success
     2  validation failure (bad instance data, missing seed, singular blocks)
        or an overflow: a non-finite rollout state or cost, reachability
-       products, backward pass, learned fit or range-test residual
+       products, backward pass, learned fit or range test
     3  terminal target not reachable / constraint infeasible: a finite
        residual above the range tolerance
     4  rank-deficient or insufficient data

@@ -40,8 +40,8 @@ class StageOutOfRange(TermLqError):
 class NonFiniteState(TermLqError):
     """A rollout produced a non-finite state entry or cost, or an overflow
     reached the reachability products, the Riccati pass, the learner's
-    probe regressors, a fitted kernel, a range-test residual (never read as
-    unreachable) or the oracle's cost (an unstable policy or plant, or huge
+    probe regressors, a fitted kernel, a range test (never read as a
+    verdict) or the oracle's cost (an unstable policy or plant, or huge
     data)."""
 
 

@@ -167,8 +167,7 @@ def kkt_oracle(inst: ProblemInstance) -> KktSolution:
         raise SingularKkt(f"KKT system singular: {exc}") from exc
 
     Sigma = sym(Z[-1, ix, 1:])
-    mu, _, _, miss = range_solve(Sigma, Z[-1, ix, 0] - inst.xi, inst.xi,
-                                 "terminal constraint range")
+    mu, _, _, miss = range_solve(Sigma, Z[-1, ix, 0] - inst.xi, inst.xi, "terminal constraint")
     if miss is not None:
         raise InfeasibleConstraint(f"terminal constraint inconsistent: range {miss}")
     z = Z[:, :, 0] - Z[:, :, 1:] @ mu

@@ -81,11 +81,13 @@ def range_solve(M: Array, rhs: Array, ref: Array, what: str,
     judged against range_tol(ref). Returns (y, residual, rank, miss): miss
     is None when rhs is in range, else "residual R exceeds tolerance T" for
     the caller to raise in its own class. Raises NonFiniteState naming the
-    equation `what` when the residual overflows: never a verdict."""
+    equation `what` when the residual or the tolerance overflows: never a
+    verdict."""
     y, resid, rank = min_norm_solve(M, rhs, scale)
-    if not np.isfinite(resid):
-        raise NonFiniteState(f"{what} residual is non-finite: the solve overflows")
     tol = range_tol(ref)
+    if not (np.isfinite(resid) and np.isfinite(tol)):
+        raise NonFiniteState(f"{what} range test overflows: residual {resid:.6e}, "
+                             f"tolerance {tol:.6e}")
     miss = None if resid <= tol else f"residual {resid:.6e} exceeds tolerance {tol:.6e}"
     return y, resid, rank, miss
 
