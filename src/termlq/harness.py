@@ -104,6 +104,9 @@ class CampaignSpec:
 
 @dataclass(frozen=True)
 class CampaignSummary:
+    """Campaign outcome. The campaign report is this record as a dict, so
+    the field order here is the report's key order."""
+
     trials: int
     completed: int
     failures: int

@@ -484,9 +484,9 @@ def mutated_docs():
         doc = json.loads(text)
         doc[key] = rng.choice(retypes)
         yield f"retyped-{key}", json.dumps(doc)
-        doc = json.loads(text)
         if key in ("n", "m", "N", "learn"):
             continue
+        doc = json.loads(text)
         entry = rng.choice([v for v in _lists(doc[key]) if not isinstance(v[0], list)])
         entry[rng.randrange(len(entry))] = rng.choice(("1", "x", True, None, [1.0], {}))
         yield f"retyped-entry-{key}", json.dumps(doc)
