@@ -53,7 +53,9 @@ class InsufficientSamples(TermLqError):
 
 
 class OracleMiss(TermLqError):
-    """A replay log was queried for a transition it does not contain."""
+    """The data runs short: a replay log holds fewer records for some stage
+    0..N than the samples per stage, or a plant was asked about a stage
+    outside 0..N."""
 
     exit_code = 4
 

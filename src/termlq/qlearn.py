@@ -1,9 +1,8 @@
 """Model-free recovery of the terminal-constrained LQ controller.
 
-The learner never reads the plant matrices. Per stage it probes the plant
-with a batch of Gaussian (state, input, multiplier) triples, observes the
-one-step transitions through a TransitionOracle, and fits the stage kernel
-Lambda(k) of the quadratic form
+The learner never reads the plant matrices. Per stage it takes a batch of
+(state, input, multiplier) rows with the one-step successor of each, and
+fits the stage kernel Lambda(k) of the quadratic form
 
     q(x, u, lam) = z' Lambda(k) z,   z = (x, u, lambda)
 
@@ -14,13 +13,15 @@ feedforward gains, the value kernels P(k), the closed-loop products
 Phi(k,N), the Gramian G(k), and finally the multiplier lambda* all come out
 of the fitted blocks; the backward pass carries only learned quantities.
 
-A stage's probes, and so its regressor and the singular values of its
-square system, do not depend on the backward pass: only the targets do.
-The learner therefore draws the probes and factors the regressors for a
-block of consecutive stages at a time, in stacked numpy calls, and keeps
-per stage only what the pass carries: one oracle batch, the targets, the
-rank verdict, one LU solve and the extraction, stage by stage from N down
-to 0.
+One collect step per block of consecutive stages yields the stacked rows
+(X, U, L, Xn): from a SimulatedPlant, Gaussian probes and one batch of
+successors per stage; from a ReplayLog, the first l records of each stage
+in file order, whatever inputs produced them. A stage's rows, and so its
+regressor and the singular values of its square system, do not depend on
+the backward pass: only the targets do. The learner therefore factors the
+regressors of a block in stacked numpy calls, and keeps per stage only the
+targets, the rank verdict, one LU solve and the extraction, stage by stage
+from N down to 0.
 """
 
 from __future__ import annotations
@@ -49,17 +50,10 @@ RESIDUAL_WARN_RTOL = 1e-6
 BLOCK_BYTES = 256 * 1024
 
 
-class TransitionOracle:
-    """One-step plant access for a batch of probes: step(k, X, U) -> Xn with
-    one row per probe, Xn[i] the successor of state X[i] under input U[i] at
-    stage k. Implementations hide the system matrices from the learner."""
-
-    def step(self, k: int, X: Array, U: Array) -> Array:
-        raise NotImplementedError
-
-
-class SimulatedPlant(TransitionOracle):
-    """Noise-free plant wrapper around a hidden instance.
+class SimulatedPlant:
+    """Noise-free plant wrapper around a hidden instance: step(k, X, U)
+    answers a batch of probes with one row per probe, Xn[i] the successor of
+    state X[i] under input U[i] at stage k.
 
     The learner receives only this object (plus dimensions, cost weights,
     x0, xi); it must not read the wrapped A/B.
@@ -79,31 +73,27 @@ class SimulatedPlant(TransitionOracle):
         return (inst.A[k] @ X[:, :, None])[:, :, 0] + (inst.B[k] @ U[:, :, None])[:, :, 0]
 
 
-class ReplayLog(TransitionOracle):
-    """Serves pre-recorded transitions, held as row-aligned arrays: stage k,
-    state X, input U, multiplier probe L and successor Xn, one row per
-    record. Raises OracleMiss when any queried row has no record. Lookup is
-    exact on (stage, state, input), the first record winning, so a learner
-    re-running the recorded seed gets byte-identical answers."""
+class ReplayLog:
+    """Recorded transitions as row-aligned arrays, one row per record in
+    file order: stage k, state X, input U, multiplier probe L and successor
+    Xn. The records may come from any inputs; learn fits them as they
+    are."""
 
     def __init__(self, k, X: Array, U: Array, L: Array, Xn: Array):
         self.X, self.U, self.L, self.Xn = (np.asarray(a, dtype=float) for a in (X, U, L, Xn))
         self.k = np.broadcast_to(np.asarray(k, dtype=np.int64), self.X.shape[:1])
-        self._rows: dict[bytes, int] = {}
-        for i, key in enumerate(_row_keys(self.k, self.X, self.U)):
-            self._rows.setdefault(key, i)
 
-    def step(self, k: int, X: Array, U: Array) -> Array:
-        rows = [self._rows.get(key) for key in _row_keys(np.full(len(X), k), X, U)]
-        if None in rows:
-            raise OracleMiss(f"no recorded transition for stage {k} with the queried (x, u)")
-        return self.Xn[rows]
-
-
-def _row_keys(k: Array, X: Array, U: Array) -> list[bytes]:
-    # the float64 bytes of each row of [k, x, u]: exact-match lookup keys
-    rows = np.column_stack([np.asarray(k, dtype=np.float64), X, U])
-    return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel().tolist()
+    def stage_rows(self, N: int, l: int) -> Array:
+        """(N+1, l) record indices: row k lists the first l records of stage
+        k in file order. Records beyond those, and records of stages outside
+        0..N, are not read. Raises OracleMiss naming the first stage, in the
+        order N..0, that has fewer than l records."""
+        rows = [np.flatnonzero(self.k == k)[:l] for k in range(N + 1)]
+        for k in range(N, -1, -1):
+            if len(rows[k]) < l:
+                raise OracleMiss(f"replay log has {len(rows[k])} records for stage {k}, "
+                                 f"fewer than the {l} samples per stage")
+        return np.stack(rows)
 
 
 @dataclass(frozen=True)
@@ -163,14 +153,13 @@ def draw_probes(ks, l: int, n: int, m: int, dist: GaussianSpec,
     return dist.mean + std * Zx, dist.mean + std * Zu, dist.mean + std * Zl
 
 
-def sample_stage_data(oracle: TransitionOracle, k: int, X: Array, U: Array,
-                      L: Array) -> StageDataset:
-    """Record the oracle's one-step answers to the probes (X, U, L) of stage
-    k, one batch query."""
-    Xn = np.asarray(oracle.step(k, X, U), dtype=float)
-    if Xn.shape != X.shape:
-        raise ValueError(f"oracle answered shape {Xn.shape} for {X.shape} probe states")
-    return StageDataset(k=int(k), X=ro(X), U=ro(U), L=ro(L), Xn=ro(Xn))
+def sample_stage_data(plant: SimulatedPlant, ks: range, l: int, n: int, m: int,
+                      dist: GaussianSpec, seed: int) -> tuple[Array, Array, Array, Array]:
+    """The stacked rows (X, U, L, Xn) of the stages ks from a plant, stages
+    on the leading axis in the order of ks: their draw_probes and one batch
+    query for the successors per stage."""
+    X, U, L = draw_probes(ks, l, n, m, dist, seed)
+    return X, U, L, np.stack([plant.step(k, X[i], U[i]) for i, k in enumerate(ks)])
 
 
 @lru_cache(maxsize=16)
@@ -358,18 +347,21 @@ def extract_stage(k: int, Lam: Array,
     return -W21, -W32, P, Phi_row, G
 
 
-def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
+def learn(oracle: SimulatedPlant | ReplayLog, dims: tuple[int, int, int],
           cost: tuple[Array, Array, Array], x0: Array, xi: Array, l: int,
           dist: GaussianSpec | None, seed: int) -> LearnedSchedule:
-    """Full model-free pipeline over stages N..0.
+    """Full model-free pipeline over stages N..0, from a plant or a replay
+    log.
 
     Every stage is fitted from the targets of stage_targets: the terminal
     stage from the boundary values, every interior stage from the previously
-    extracted P, Phi, G (never the plant matrices). The probes and the
-    stage systems come per block of stages (BLOCK_BYTES); the oracle answers
-    one batch per stage, in stage order. Raises InsufficientSamples before
-    any oracle query when l is below the identifiability threshold. The
-    multiplier solves the stage-0 block equation
+    extracted P, Phi, G (never the plant matrices). The rows and the stage
+    systems come per block of stages (BLOCK_BYTES): from a plant,
+    sample_stage_data; from a log, the first l records of each stage in
+    file order, whatever the seed and dist. Raises InsufficientSamples
+    before any plant query when l is below the identifiability threshold,
+    and OracleMiss before any fit when a log stage has fewer than l
+    records. The multiplier solves the stage-0 block equation
 
         [-L33(0) - L32(0) K1(0)] lambda = Phi(0,N) x0 - xi
 
@@ -387,6 +379,8 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
     if l < p:
         raise InsufficientSamples(f"l={l} below the identifiability threshold {p}")
     width = max(1, BLOCK_BYTES // (8 * l * p))
+    if isinstance(oracle, ReplayLog):
+        rows = oracle.stage_rows(N, l)
 
     d = 2 * n + m
     Lambda = np.empty((N + 1, d, d))
@@ -399,10 +393,14 @@ def learn(oracle: TransitionOracle, dims: tuple[int, int, int],
 
     for top in range(N, -1, -width):
         ks = range(top, max(top - width, -1), -1)
-        X, U, L = draw_probes(ks, l, n, m, dist, seed)
+        # the collect step: l rows per stage of the block
+        if isinstance(oracle, ReplayLog):
+            X, U, L, Xn = (a[rows[list(ks)]] for a in (oracle.X, oracle.U, oracle.L, oracle.Xn))
+        else:
+            X, U, L, Xn = sample_stage_data(oracle, ks, l, n, m, dist, seed)
         systems = stage_systems(X, U, L)
         for i, k in enumerate(ks):
-            ds = sample_stage_data(oracle, k, X[i], U[i], L[i])
+            ds = StageDataset(k, X[i], U[i], L[i], Xn[i])
             # the terminal target takes H as given, not its symmetric part
             # P(N+1): the two round differently in the targets
             P_next = H if k == N else P[k + 1]

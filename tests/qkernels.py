@@ -13,7 +13,6 @@ from termlq.qlearn import (
     GaussianSpec,
     SimulatedPlant,
     StageDataset,
-    draw_probes,
     fit_stage,
     sample_stage_data,
     stage_systems,
@@ -36,8 +35,8 @@ def stage_dataset(inst: ProblemInstance, k: int, l: int, dist: GaussianSpec,
                   seed: int) -> StageDataset:
     """The l probes learn draws for stage k of inst under seed, with the
     simulated plant's answers."""
-    X, U, L = draw_probes([k], l, inst.n, inst.m, dist, seed)
-    return sample_stage_data(SimulatedPlant(inst), k, X[0], U[0], L[0])
+    X, U, L, Xn = sample_stage_data(SimulatedPlant(inst), [k], l, inst.n, inst.m, dist, seed)
+    return StageDataset(k, X[0], U[0], L[0], Xn[0])
 
 
 def fit(ds: StageDataset, gamma: np.ndarray) -> tuple[np.ndarray, float, float]:

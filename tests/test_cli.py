@@ -159,13 +159,57 @@ class TestLearn:
         assert from_plant.read_bytes() == from_log.read_bytes()
 
     def test_replay_missing_probe_exits_4(self, fixture_file, tmp_path, capsys):
-        stage0 = stage_dataset(example_instance(), 0, 30, GaussianSpec(), seed=7)
+        # only stage 0 recorded: the first short stage in the order N..0 is 2
+        inst = example_instance()
+        datasets = [stage_dataset(inst, k, 30, GaussianSpec(), seed=7) for k in range(3)]
         log_path = tmp_path / "partial.log"
-        write_replay_log([stage0], log_path)
+        write_replay_log(datasets[:1], log_path)
         code, _, err = run_cli(
             ["learn", "--instance", fixture_file, "--replay", log_path], capsys)
         assert code == 4
-        assert "termlq learn" in err
+        assert err == ("termlq learn: replay log has 0 records for stage 2, "
+                       "fewer than the 30 samples per stage\n")
+        # every stage recorded, stage 1 one record short of --samples
+        write_replay_log(datasets, log_path)
+        code, out, err = run_cli(
+            ["learn", "--instance", fixture_file, "--replay", log_path, "--samples", "31"],
+            capsys)
+        assert code == 4
+        assert json.loads(out)["error"]["code"] == "OracleMiss"
+        assert "30 records for stage 2," in err
+        lines = log_path.read_text().splitlines()
+        del lines[45]
+        log_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            ["learn", "--instance", fixture_file, "--replay", log_path], capsys)
+        assert code == 4
+        assert "29 records for stage 1," in err
+
+    def test_replay_of_a_multi_block_learn_is_byte_identical(self, tmp_path, capsys):
+        # native (3, 2, 64) at the threshold spans three blocks of stages;
+        # a replay learn reads neither the seed nor the probe distribution
+        rng = np.random.default_rng(0)
+        n, m, N = 3, 2, 64
+        doc = {"n": n, "m": m, "N": N, "A": rng.standard_normal((N + 1, n, n)).tolist(),
+               "B": rng.standard_normal((N + 1, n, m)).tolist(), "Q": np.eye(n).tolist(),
+               "R": np.eye(m).tolist(), "H": np.eye(n).tolist(),
+               "x0": rng.standard_normal(n).tolist(), "xi": rng.standard_normal(n).tolist()}
+        p = write_doc(tmp_path, "long.json", doc)
+        inst = load_instance_file(p).instance
+        log_path = tmp_path / "probes.log"
+        write_replay_log([stage_dataset(inst, k, 36, GaussianSpec(), seed=7)
+                          for k in range(N + 1)], log_path)
+        code, from_plant, _ = run_cli(["learn", "--instance", p, "--seed", 7], capsys)
+        assert code == 0
+        code, from_log, _ = run_cli(["learn", "--instance", p, "--seed", 7,
+                                     "--replay", log_path], capsys)
+        assert code == 0 and from_log == from_plant
+        doc["learn"] = {"mean": 2.0, "covariance_scale": 3.0}
+        p = write_doc(tmp_path, "long.json", doc)
+        code, other_seed, _ = run_cli(["learn", "--instance", p, "--seed", 8,
+                                       "--replay", log_path], capsys)
+        assert code == 0
+        assert other_seed == from_plant.replace('"seed": 7,', '"seed": 8,', 1)
 
 
 class TestVerify:

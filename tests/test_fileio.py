@@ -307,13 +307,6 @@ class TestReplayLogFile:
         np.testing.assert_array_equal(log.L, ds.L)
         np.testing.assert_array_equal(log.Xn, ds.Xn)
 
-    def test_round_tripped_log_answers_queries(self, example, tmp_path):
-        ds = self._dataset(example)
-        p = tmp_path / "log.txt"
-        write_replay_log([ds], p)
-        log = read_replay_log(p, example.n, example.m)
-        np.testing.assert_array_equal(log.step(ds.k, ds.X[3:4], ds.U[3:4]), ds.Xn[3:4])
-
     def test_wrong_width_line_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("2 1 2 3 1 2 3 4\n2 1 2 3\n")

@@ -26,7 +26,8 @@ from termlq import (
     solve_lambda,
     solve_schedule,
 )
-from termlq.harness import draw_reachable_instance, verify_solution
+from termlq import qlearn
+from termlq.harness import draw_reachable_instance, random_instance, verify_solution
 from termlq.errors import TermLqError
 from termlq.linalg import RANK_RTOL
 from termlq.qlearn import (
@@ -54,6 +55,7 @@ from golden import (
 from qkernels import fit, model_kernel, regressor_row, stage_dataset, terminal_targets
 from reference_fit import lstsq_fit, outer_product_regressor
 from reference_learn import reference_learn
+from replay_logs import episodic_log
 
 DIST = GaussianSpec()
 
@@ -73,6 +75,18 @@ def replay_of(datasets):
     return ReplayLog(np.concatenate([np.full(len(ds.X), ds.k) for ds in datasets]),
                      *(np.concatenate([getattr(ds, f) for ds in datasets])
                        for f in ("X", "U", "L", "Xn")))
+
+
+def count_calls(monkeypatch, name):
+    """Record the stage k of every call of the qlearn function name."""
+    calls = []
+    original = getattr(qlearn, name)
+
+    def counted(ds, *args, **kwargs):
+        calls.append(ds.k)
+        return original(ds, *args, **kwargs)
+    monkeypatch.setattr(qlearn, name, counted)
+    return calls
 
 
 def example_learned(example, l=GOLDEN_LEARN_SAMPLES, seed=GOLDEN_LEARN_SEED,
@@ -501,16 +515,21 @@ class TestReferenceLearn:
         ls = self.assert_same(inst, sample_threshold(dims[0], dims[1]), seed=7)
         assert isinstance(ls, LearnedSchedule)
 
-    def test_replay_missing_interior_stage(self):
+    def test_replay_missing_interior_stage(self, monkeypatch):
         dims = (3, 2, 64)
         inst = self.native_instance(dims)
         l = sample_threshold(3, 2)
         dist = GaussianSpec()
-        # stage 30 sits inside the second block of stages 39..15
+        # stage 30 sits inside the second block of stages 39..15; the log is
+        # refused before the first block is fitted
         log = replay_of([stage_dataset(inst, k, l, dist, seed=7)
                          for k in range(inst.N + 1) if k != 30])
-        err = self.assert_same(inst, l, seed=7, oracle=log)
-        assert isinstance(err, OracleMiss) and "stage 30 " in str(err)
+        fits = count_calls(monkeypatch, "fit_stage")
+        err = self.outcome(learn, inst, l, seed=7, oracle=log)
+        assert isinstance(err, OracleMiss)
+        assert str(err) == ("replay log has 0 records for stage 30, "
+                            "fewer than the 36 samples per stage")
+        assert fits == []
 
     def test_below_threshold(self):
         inst = self.native_instance((3, 2, 64))
@@ -518,13 +537,14 @@ class TestReferenceLearn:
         assert isinstance(err, InsufficientSamples)
 
     def test_oracle_miss_precedes_rank_verdict_of_its_stage(self, example):
-        # probes 1 + 1e-20 z round to 1.0: every regressor has rank 1
+        # probes 1 + 1e-20 z round to 1.0: every regressor has rank 1, and
+        # the log's short stage 0 is refused before stage 2's rank verdict
         flat = GaussianSpec(mean=1.0, covariance_scale=1e-40)
         assert isinstance(self.assert_same(example, 15, seed=3, dist=flat), RankDeficient)
-        partial = replay_of([stage_dataset(example, k, 15, flat, seed=3)
-                             for k in range(example.N)])
-        assert isinstance(self.assert_same(example, 15, seed=3, oracle=partial, dist=flat),
-                          OracleMiss)
+        datasets = [stage_dataset(example, k, 15, flat, seed=3) for k in range(example.N + 1)]
+        partial = replay_of([datasets[2], datasets[1], rows(datasets[0], list(range(14)))])
+        err = self.outcome(learn, example, 15, seed=3, oracle=partial, dist=flat)
+        assert isinstance(err, OracleMiss) and "14 records for stage 0," in str(err)
 
     def test_traced_peak_of_a_wide_learn(self):
         inst = self.native_instance((8, 4, 16))
@@ -539,30 +559,69 @@ class TestReferenceLearn:
 
 
 class TestReplayLog:
+    """A replay log is data: learn fits the first l records of each stage in
+    file order, whatever inputs produced them, and reads the multiplier
+    column."""
+
+    @staticmethod
+    def learn_from(inst, source, l, seed=GOLDEN_LEARN_SEED, dist=DIST):
+        return learn(source, (inst.n, inst.m, inst.N), (inst.Q, inst.R, inst.H),
+                     inst.x0, inst.xi, l, dist, seed)
+
     def test_serves_recorded_transitions(self, example):
-        ds = stage_dataset(example, 1, 15, DIST, seed=5)
-        log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
-        npt.assert_array_equal(log.step(1, ds.X[3:4], ds.U[3:4]), ds.Xn[3:4])
+        # stages interleaved, stage 5 outside 0..N, and records beyond l
+        a, b = (stage_dataset(example, k, 4, DIST, seed=5) for k in (1, 2))
+        log = replay_of([rows(a, [0, 1]), rows(b, [0]), StageDataset(5, a.X, a.U, a.L, a.Xn),
+                         rows(a, [2, 3]), rows(b, [1, 2, 3]),
+                         stage_dataset(example, 0, 4, DIST, seed=5)])
+        idx = log.stage_rows(example.N, 3)
+        npt.assert_array_equal(idx, [[12, 13, 14], [0, 1, 7], [2, 9, 10]])
+        npt.assert_array_equal(log.X[idx[1]], a.X[:3])
+        npt.assert_array_equal(log.L[idx[2]], b.L[:3])
 
     def test_miss_raises(self, example):
         ds = stage_dataset(example, 1, 15, DIST, seed=5)
         log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
-        with pytest.raises(OracleMiss):
-            log.step(0, ds.X[:1], ds.U[:1])
+        with pytest.raises(OracleMiss, match="^replay log has 0 records for stage 2,"):
+            log.stage_rows(example.N, 15)
+        full = replay_of([rows(stage_dataset(example, k, 15, DIST, seed=5), list(range(14)))
+                          if k == 1 else stage_dataset(example, k, 15, DIST, seed=5)
+                          for k in range(example.N + 1)])
+        with pytest.raises(OracleMiss, match="^replay log has 14 records for stage 1, "
+                                             "fewer than the 15 samples per stage$"):
+            self.learn_from(example, full, 15)
 
-    def test_permuted_batch_answered_in_query_order(self, example):
-        ds = stage_dataset(example, 1, 15, DIST, seed=5)
-        log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
-        perm = np.random.default_rng(3).permutation(15)
-        npt.assert_array_equal(log.step(1, ds.X[perm], ds.U[perm]), ds.Xn[perm])
+    def test_permuted_rows_fitted_in_file_order(self, example):
+        datasets = [stage_dataset(example, k, GOLDEN_LEARN_SAMPLES, DIST,
+                                  seed=GOLDEN_LEARN_SEED) for k in range(example.N + 1)]
+        perm = np.random.default_rng(3).permutation(GOLDEN_LEARN_SAMPLES)
+        shuffled = self.learn_from(example, replay_of([rows(ds, perm) for ds in datasets]),
+                                   GOLDEN_LEARN_SAMPLES)
+        from_plant = example_learned(example)
+        for name in ("K", "K1", "P", "lambda_star"):
+            npt.assert_allclose(getattr(shuffled, name), getattr(from_plant, name),
+                                atol=1e-8, err_msg=name)
 
-    def test_single_unrecorded_row_misses(self, example):
-        ds = stage_dataset(example, 1, 15, DIST, seed=5)
-        log = ReplayLog(ds.k, ds.X, ds.U, ds.L, ds.Xn)
-        X = ds.X.copy()
-        X[7, 0] = np.nextafter(X[7, 0], np.inf)
-        with pytest.raises(OracleMiss):
-            log.step(1, X, ds.U)
+    def test_seed_and_distribution_do_not_matter(self, example):
+        datasets = [stage_dataset(example, k, 15, DIST, seed=5) for k in range(example.N + 1)]
+        log = replay_of(datasets)
+        base = self.learn_from(example, log, 15, seed=5)
+        other = self.learn_from(example, log, 15, seed=6, dist=GaussianSpec(2.0, 3.0))
+        npt.assert_array_equal(other.Lambda, base.Lambda)
+        npt.assert_array_equal(other.lambda_star, base.lambda_star)
+
+    def test_recorded_multiplier_column_is_fitted(self, example, example_schedule):
+        # the same (x, u, x_next) with another lambda column: the fit moves,
+        # the recovered schedule does not
+        datasets = [stage_dataset(example, k, 15, DIST, seed=5) for k in range(example.N + 1)]
+        rng = np.random.default_rng(11)
+        relabelled = [StageDataset(ds.k, ds.X, ds.U, rng.standard_normal(ds.L.shape), ds.Xn)
+                      for ds in datasets]
+        base = self.learn_from(example, replay_of(datasets), 15)
+        other = self.learn_from(example, replay_of(relabelled), 15)
+        assert not np.array_equal(other.fit_diagnostics.cond, base.fit_diagnostics.cond)
+        npt.assert_allclose(other.K1, example_schedule.K1, atol=1e-8)
+        npt.assert_allclose(other.Lambda, base.Lambda, atol=1e-8)
 
     def test_replay_reproduces_plant_learning(self, example):
         datasets = [stage_dataset(example, k,
@@ -575,6 +634,22 @@ class TestReplayLog:
         from_plant = example_learned(example)
         npt.assert_array_equal(from_log.lambda_star, from_plant.lambda_star)
         npt.assert_array_equal(from_log.Lambda, from_plant.Lambda)
+
+    def test_episodic_logs_learn_contractive_plants(self):
+        # plant runs from random initial states, never the learner's probes:
+        # 20 contractive (3, 2, 16) instances at 4x the threshold
+        n, m, N = 3, 2, 16
+        l = 4 * sample_threshold(n, m)
+        worst = 0.0
+        for t in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence((2211, t)))
+            drawn = random_instance(rng, n, m, N)
+            inst = make_instance(drawn.A / (2.0 * np.sqrt(n)), drawn.B, drawn.Q, drawn.R,
+                                 drawn.H, drawn.x0, drawn.xi)
+            sched = solve_schedule(inst)
+            ls = self.learn_from(inst, episodic_log(inst, l, rng), l)
+            worst = max(worst, np.abs(ls.K - sched.K).max(), np.abs(ls.K1 - sched.K1).max())
+        assert worst <= 1e-8
 
 
 class TestLongHorizonGains:
