@@ -361,11 +361,11 @@ def learn(oracle: SimulatedPlant | ReplayLog, dims: tuple[int, int, int],
     file order, whatever the seed and dist. Raises InsufficientSamples
     before any plant query when l is below the identifiability threshold,
     and OracleMiss before any fit when a log stage has fewer than l
-    records. The multiplier solves the stage-0 block equation
+    records. The multiplier solves
 
-        [-L33(0) - L32(0) K1(0)] lambda = Phi(0,N) x0 - xi
+        G(0) lambda = Phi(0,N) x0 - xi
 
-    by the minimum-norm pseudoinverse. Raises NotReachable on a range miss,
+    with the learner's own G(0) by the minimum-norm pseudoinverse. Raises NotReachable on a range miss,
     or NonFiniteState when the solve overflows.
     """
     n, m, N = dims
@@ -409,12 +409,10 @@ def learn(oracle: SimulatedPlant | ReplayLog, dims: tuple[int, int, int],
             gamma_norm[k] = np.linalg.norm(gamma)
             K[k], K1[k], P[k], Phi[k], G[k] = extract_stage(k, Lambda[k], G_next=G[k + 1])
 
-    L32, L33 = Lambda[0, n + m:, n:n + m], Lambda[0, n + m:, n + m:]
-    M = sym(-L33 - L32 @ K1[0])
     # rank the multiplier system against the fitted kernel magnitude: fit
     # noise in a numerically zero G(0) must not pass for invertible
     kernel_scale = float(np.abs(Lambda[0]).max())
-    lam, _, _, miss = range_solve(M, Phi[0] @ x0 - xi, xi, "learned multiplier equation",
+    lam, _, _, miss = range_solve(G[0], Phi[0] @ x0 - xi, xi, "learned multiplier equation",
                                   scale=kernel_scale)
     if miss is not None:
         raise NotReachable(f"learned multiplier equation {miss}")

@@ -80,10 +80,8 @@ def reference_learn(oracle, dims, cost, x0, xi, l, dist, seed) -> LearnedSchedul
         gamma_norm[k] = np.linalg.norm(gamma)
         K[k], K1[k], P[k], Phi[k], G[k] = extract_stage(k, Lambda[k], G_next=G[k + 1])
 
-    L32, L33 = Lambda[0, n + m:, n:n + m], Lambda[0, n + m:, n + m:]
-    M = sym(-L33 - L32 @ K1[0])
     kernel_scale = float(np.abs(Lambda[0]).max())
-    lam, resid, _ = min_norm_solve(M, Phi[0] @ x0 - xi, scale=kernel_scale)
+    lam, resid, _ = min_norm_solve(G[0], Phi[0] @ x0 - xi, scale=kernel_scale)
     if resid > range_tol(xi):
         raise NotReachable(
             f"learned multiplier equation residual {resid:.6e} exceeds "

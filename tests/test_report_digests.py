@@ -52,17 +52,17 @@ RUNS = {
 
 DIGESTS = {
     "fixture-solve": "8dbc6362ef4b3ec39c2260ec30ce25d02e98a0871bbcdc248f7c3716f0f16ac3",
-    "fixture-learn": "2509f601fce2f9f9723774e929908f0bcc706fb396edc23bbefbd3b8d6fe76fd",
-    "fixture-verify": "b56b9931de9a830cec862d2938c21b41c2944b4e5f01c78f0d30ac4526cf6b7b",
+    "fixture-learn": "d74abc20228fac10836854d1647ecd7b6e1520cbf3483da6f9ed8977181b116b",
+    "fixture-verify": "481c3957a118fdc9078334d84ea2ad2c865673b84197c2e3570649939db7a229",
     "fixture-reach": "2b862577ef50c2c025ac13c92d24330544ec22e76ed3cf25274e445411477596",
     "native-solve": "52c76be4ba9ae2b7acf36fe253c0366da707b56e10c9ef47a45d636d9cd73829",
-    "native-learn": "969d98e2b8406a1ede0f2d27f630b8a3c77a1c542336f4130f0191f97c9c52ac",
-    "native-verify": "a98dfe4502992344dab493f5c1924a5b610800e0e7e2fab3c0509e5ebc5411ff",
+    "native-learn": "71721de2b7432f6b18eb87f09529f820c5599a44789b1a28895e6936ba82bfe7",
+    "native-verify": "dc83750c7128e3d16506b0bde774cb16a17f810518e33cee02ce25571327480d",
     "scaled-solve": "c9c8b09acdb33349ee6c23edb8fc5fef6a6f618410f48f81aa3601db67b10924",
-    "scaled-learn": "9459aed5561d5e18b520f2e2b100f948f2fcd0a48390f0abb17491761f7446f7",
-    "scaled-verify": "e7f8cbdf70ddf5d01269ca38196e860612393b63ec9a98cf17bcaee9bf138372",
-    "long-verify": "60fe5ba1cdfbc81f673cd45c392e7476fa9fc3b95bc91975d86cf4a906212399",
-    "campaign": "1cce82c316b147f0ad9901875edb57e2b1f307ce07f3859adbbb9be5af6cdc64",
+    "scaled-learn": "4faf1096b100829a48938e97430460f9f914306be8ee667509167ad42aea52e0",
+    "scaled-verify": "b85dce91e175e1a6e2c03402ab92ad19fab2fcef3f7fb0f18f1191a2c7683a8e",
+    "long-verify": "283ce9b8c6758a8bd790feb4aa5b3a9c61110badffd6488af6cf3bf4855c62d9",
+    "campaign": "bb5cab2f2818b30f28cd4b94b7fca440dc892bfa94b2a30f032e673fe3654418",
 }
 
 
