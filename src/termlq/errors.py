@@ -53,9 +53,8 @@ class InsufficientSamples(TermLqError):
 
 
 class OracleMiss(TermLqError):
-    """The data runs short: a replay log holds fewer records for some stage
-    0..N than the samples per stage, or a plant was asked about a stage
-    outside 0..N."""
+    """A replay log holds fewer records for a stage than the samples per
+    stage, or a plant was asked about a stage outside 0..N."""
 
     exit_code = 4
 

@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -65,24 +65,28 @@ def _as_finite(doc: dict, key: str, name: str) -> float:
     return f
 
 
-def _as_matrix(value, key: str, rows: int, cols: int) -> np.ndarray:
+def _as_array(value, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a float array of the given shape. As in the learn block, an
+    entry that is not a JSON number raises ParseError naming key and index."""
     try:
         M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # or an int beyond float
+        _name_non_number(value, key)
         raise ParseError(f"key '{key}': not numeric ({exc})") from exc
-    if M.shape != (rows, cols):
-        raise ParseError(f"key '{key}': expected a {rows}x{cols} matrix, found shape {M.shape}")
+    if M.shape != shape:
+        raise ParseError(f"key '{key}': expected shape {shape}, found shape {M.shape}")
+    if not set(map(type, chain.from_iterable(value) if M.ndim == 2 else value)) <= {int, float}:
+        _name_non_number(value, key)
     return M
 
 
-def _as_vector(value, key: str, dim: int) -> np.ndarray:
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"key '{key}': not numeric ({exc})") from exc
-    if v.shape != (dim,):
-        raise ParseError(f"key '{key}': expected a length-{dim} array, found shape {v.shape}")
-    return v
+def _name_non_number(value, key: str) -> None:
+    # raise naming the first entry of nested lists that is not a JSON number
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            if not isinstance(v, list) and type(v) not in (int, float):
+                raise ParseError(f"key '{key}[{i}]': expected a number, found {type(v).__name__}")
+            _name_non_number(v, f"{key}[{i}]")
 
 
 def load_instance_file(path: str | Path) -> InstanceFile:
@@ -115,15 +119,15 @@ def load_instance_file(path: str | Path) -> InstanceFile:
             raise ParseError(f"key '{key}': expected an array of matrices")
         if len(raw) != N + 1:
             raise ParseError(f"key '{key}': expected length {N + 1}, found {len(raw)}")
-        return [_as_matrix(entry, f"{key}[{i}]", rows, cols) for i, entry in enumerate(raw)]
+        return [_as_array(entry, f"{key}[{i}]", (rows, cols)) for i, entry in enumerate(raw)]
 
     A = matrix_list("A", n, n)
     B = matrix_list("B", n, m)
-    Q = _as_matrix(_require(doc, "Q"), "Q", n, n)
-    R = _as_matrix(_require(doc, "R"), "R", m, m)
-    H = _as_matrix(_require(doc, "H"), "H", n, n)
-    x0 = _as_vector(_require(doc, "x0"), "x0", n)
-    xi = _as_vector(_require(doc, "xi"), "xi", n)
+    Q = _as_array(_require(doc, "Q"), "Q", (n, n))
+    R = _as_array(_require(doc, "R"), "R", (m, m))
+    H = _as_array(_require(doc, "H"), "H", (n, n))
+    x0 = _as_array(_require(doc, "x0"), "x0", (n,))
+    xi = _as_array(_require(doc, "xi"), "xi", (n,))
 
     inst = make_instance(A, B, Q, R, H, x0, xi)
     require_valid(inst)
@@ -232,8 +236,8 @@ def instance_hash(inst: ProblemInstance) -> str:
 def read_replay_log(path: str | Path, n: int, m: int) -> ReplayLog:
     """Parse a replay log for an n-state, m-input plant: one transition per
     line, the stage k, then the x, u, lam and x_next entries as decimal
-    floats. Blank lines are skipped; a malformed line raises a ParseError
-    naming its line number.
+    floats. Blank lines are skipped; a malformed line, a non-finite field
+    included, raises a ParseError naming its line number.
 
     One np.loadtxt call parses a well-formed log, reading the file in
     chunks. Anything it refuses goes to the line loop, which accepts what
@@ -256,7 +260,8 @@ def _replay_table(path: str | Path, width: int) -> tuple[np.ndarray, np.ndarray]
             warnings.simplefilter("error", UserWarning)
             rec = np.loadtxt(fh, comments=None, ndmin=1,
                              dtype=[("k", "<i8"), ("v", "<f8", (width - 1,))])
-        return rec["k"], rec["v"]
+        if np.isfinite(rec["v"]).all():   # else the loop names the line
+            return rec["k"], rec["v"]
     except (ValueError, UserWarning):
         pass
     # lines end at "\n" only: np.loadtxt reads form feeds and the other
@@ -274,6 +279,8 @@ def _replay_table(path: str | Path, width: int) -> tuple[np.ndarray, np.ndarray]
             rows.append([float(p) for p in parts[1:]])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError(f"line {lineno}: non-finite field")
         if abs(k) >= 2 ** 63:
             raise ParseError(f"line {lineno}: stage {k} does not fit a 64-bit integer")
         ks.append(k)

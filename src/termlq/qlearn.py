@@ -14,14 +14,12 @@ Phi(k,N), the Gramian G(k), and finally the multiplier lambda* all come out
 of the fitted blocks; the backward pass carries only learned quantities.
 
 One collect step per block of consecutive stages yields the stacked rows
-(X, U, L, Xn): from a SimulatedPlant, Gaussian probes and one batch of
-successors per stage; from a ReplayLog, the first l records of each stage
-in file order, whatever inputs produced them. A stage's rows, and so its
-regressor and the singular values of its square system, do not depend on
-the backward pass: only the targets do. The learner therefore factors the
-regressors of a block in stacked numpy calls, and keeps per stage only the
-targets, the rank verdict, one LU solve and the extraction, stage by stage
-from N down to 0.
+(X, U, L, Xn): Gaussian probes and a SimulatedPlant's successors, or the
+first l records of each stage of a ReplayLog, whatever inputs produced
+them. The rows, and so the regressors and their singular values, do not
+depend on the backward pass: only the targets do. So a block's regressors
+are factored in stacked numpy calls, and each stage keeps only its
+targets, rank verdict, LU solve and extraction, from N down to 0.
 """
 
 from __future__ import annotations
@@ -84,10 +82,9 @@ class ReplayLog:
         self.k = np.broadcast_to(np.asarray(k, dtype=np.int64), self.X.shape[:1])
 
     def stage_rows(self, N: int, l: int) -> Array:
-        """(N+1, l) record indices: row k lists the first l records of stage
-        k in file order. Records beyond those, and records of stages outside
-        0..N, are not read. Raises OracleMiss naming the first stage, in the
-        order N..0, that has fewer than l records."""
+        """(N+1, l) record indices, row k the first l records of stage k in
+        file order. Raises OracleMiss naming the first stage in the order
+        N..0 with fewer than l records."""
         rows = [np.flatnonzero(self.k == k)[:l] for k in range(N + 1)]
         for k in range(N, -1, -1):
             if len(rows[k]) < l:
@@ -155,9 +152,8 @@ def draw_probes(ks, l: int, n: int, m: int, dist: GaussianSpec,
 
 def sample_stage_data(plant: SimulatedPlant, ks: range, l: int, n: int, m: int,
                       dist: GaussianSpec, seed: int) -> tuple[Array, Array, Array, Array]:
-    """The stacked rows (X, U, L, Xn) of the stages ks from a plant, stages
-    on the leading axis in the order of ks: their draw_probes and one batch
-    query for the successors per stage."""
+    """The rows (X, U, L, Xn) of the stages ks from a plant, stacked in the
+    order of ks: draw_probes, then one batch query per stage for Xn."""
     X, U, L = draw_probes(ks, l, n, m, dist, seed)
     return X, U, L, np.stack([plant.step(k, X[i], U[i]) for i, k in enumerate(ks)])
 
@@ -350,8 +346,7 @@ def extract_stage(k: int, Lam: Array,
 def learn(oracle: SimulatedPlant | ReplayLog, dims: tuple[int, int, int],
           cost: tuple[Array, Array, Array], x0: Array, xi: Array, l: int,
           dist: GaussianSpec | None, seed: int) -> LearnedSchedule:
-    """Full model-free pipeline over stages N..0, from a plant or a replay
-    log.
+    """Full model-free pipeline over stages N..0, from a plant or a replay log.
 
     Every stage is fitted from the targets of stage_targets: the terminal
     stage from the boundary values, every interior stage from the previously
@@ -365,8 +360,9 @@ def learn(oracle: SimulatedPlant | ReplayLog, dims: tuple[int, int, int],
 
         G(0) lambda = Phi(0,N) x0 - xi
 
-    with the learner's own G(0) by the minimum-norm pseudoinverse. Raises NotReachable on a range miss,
-    or NonFiniteState when the solve overflows.
+    with the learner's own G(0) by the minimum-norm pseudoinverse. Raises
+    NotReachable on a range miss, or NonFiniteState when the solve
+    overflows.
     """
     n, m, N = dims
     Q, R, H = (np.asarray(W, dtype=float) for W in cost)
@@ -393,8 +389,7 @@ def learn(oracle: SimulatedPlant | ReplayLog, dims: tuple[int, int, int],
 
     for top in range(N, -1, -width):
         ks = range(top, max(top - width, -1), -1)
-        # the collect step: l rows per stage of the block
-        if isinstance(oracle, ReplayLog):
+        if isinstance(oracle, ReplayLog):   # the collect step
             X, U, L, Xn = (a[rows[list(ks)]] for a in (oracle.X, oracle.U, oracle.L, oracle.Xn))
         else:
             X, U, L, Xn = sample_stage_data(oracle, ks, l, n, m, dist, seed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -65,6 +66,32 @@ class TestLoadInstance:
         p = tmp_path / "wide.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=r"key 'B\[1\]'"):
+            load_instance_file(p)
+
+    @pytest.mark.parametrize("key, index, value, found", [
+        ("Q", (1, 1), "1", "str"), ("B", (2, 0, 0), True, "bool"),
+        ("A", (0, 1, 0), None, "NoneType"), ("x0", (1,), "x", "str"), ("xi", (0,), {}, "dict"),
+        ("H", (0, 1), False, "bool")])
+    def test_non_number_entry_names_key_and_index(self, fixture_file, tmp_path, key, index,
+                                                  value, found):
+        # the learn block's number rule, applied to every matrix and vector entry
+        doc = json.loads(fixture_file.read_text())
+        entry = doc[key]
+        for i in index[:-1]:
+            entry = entry[i]
+        entry[index[-1]] = value
+        p = tmp_path / "retyped.json"
+        p.write_text(json.dumps(doc))
+        where = re.escape(key + "".join(f"[{i}]" for i in index))
+        with pytest.raises(ParseError, match=f"key '{where}': expected a number, found {found}"):
+            load_instance_file(p)
+
+    def test_integer_beyond_float_range_is_a_parse_error(self, fixture_file, tmp_path):
+        doc = json.loads(fixture_file.read_text())
+        doc["Q"][0][0] = 10 ** 400
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="key 'Q': not numeric"):
             load_instance_file(p)
 
     def test_missing_key_reported(self, fixture_file, tmp_path):
@@ -318,6 +345,17 @@ class TestReplayLogFile:
         p.write_text("2 1 2 3 1 2 3 x\n")
         with pytest.raises(ParseError, match="line 1"):
             read_replay_log(p, 2, 1)
+
+    @pytest.mark.parametrize("field", range(1, 8))
+    def test_non_finite_field_reports_line_number(self, tmp_path, field):
+        # every field goes into the fit, so a non-finite one is malformed
+        p = tmp_path / "bad.txt"
+        for value in ("nan", "inf", "-inf", "1e999"):
+            fields = "0 1 2 3 1 2 3 4".split()
+            fields[field] = value
+            p.write_text("0 1 2 3 1 2 3 4\n" + " ".join(fields) + "\n")
+            with pytest.raises(ParseError, match="^line 2: non-finite field$"):
+                read_replay_log(p, 2, 1)
 
     def test_oversized_stage_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.txt"
