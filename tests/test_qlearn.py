@@ -456,7 +456,9 @@ class TestLearn:
 class TestReferenceLearn:
     """learn against the per-stage loop it replaced (reference_learn): the
     same schedule, multiplier and fit diagnostics bit for bit, or the same
-    exception class, message (which names the stage) and payload."""
+    exception class, message (which names the stage) and payload. A replay
+    log with a short stage departs from the loop on purpose: learn refuses
+    it before any fit, where the loop failed at that stage."""
 
     DRAWS = 100
 
