@@ -112,8 +112,8 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class StageDataset:
-    """l probes at stage k as row-aligned arrays: states X (l, n), inputs
-    U (l, m), multiplier probes L (l, n) and the oracle's successors
+    """l rows at stage k as row-aligned arrays: states X (l, n), inputs
+    U (l, m), multiplier probes L (l, n) and the plant's successors
     Xn (l, n)."""
 
     k: int

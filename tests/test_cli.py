@@ -24,6 +24,7 @@ from termlq.fileio import load_instance_file
 from golden import EXACT_LAMBDA, FIXTURE_HASH, PRINTED_NU, example_instance
 from qkernels import stage_dataset
 from replay_logs import write_replay_log
+from test_report_digests import write_random_instances
 
 
 def run_cli(argv, capsys):
@@ -186,26 +187,21 @@ class TestLearn:
         assert "29 records for stage 1," in err
 
     def test_replay_of_a_multi_block_learn_is_byte_identical(self, tmp_path, capsys):
-        # native (3, 2, 64) at the threshold spans three blocks of stages;
-        # a replay learn reads neither the seed nor the probe distribution
-        rng = np.random.default_rng(0)
-        n, m, N = 3, 2, 64
-        doc = {"n": n, "m": m, "N": N, "A": rng.standard_normal((N + 1, n, n)).tolist(),
-               "B": rng.standard_normal((N + 1, n, m)).tolist(), "Q": np.eye(n).tolist(),
-               "R": np.eye(m).tolist(), "H": np.eye(n).tolist(),
-               "x0": rng.standard_normal(n).tolist(), "xi": rng.standard_normal(n).tolist()}
-        p = write_doc(tmp_path, "long.json", doc)
+        # the native (3, 2, 64) instance of long-verify spans three blocks of
+        # stages; a replay learn reads neither the seed nor the distribution
+        p = write_random_instances(tmp_path)["long"]
         inst = load_instance_file(p).instance
         log_path = tmp_path / "probes.log"
         write_replay_log([stage_dataset(inst, k, 36, GaussianSpec(), seed=7)
-                          for k in range(N + 1)], log_path)
+                          for k in range(inst.N + 1)], log_path)
         code, from_plant, _ = run_cli(["learn", "--instance", p, "--seed", 7], capsys)
         assert code == 0
         code, from_log, _ = run_cli(["learn", "--instance", p, "--seed", 7,
                                      "--replay", log_path], capsys)
         assert code == 0 and from_log == from_plant
+        doc = json.loads(p.read_text())
         doc["learn"] = {"mean": 2.0, "covariance_scale": 3.0}
-        p = write_doc(tmp_path, "long.json", doc)
+        p.write_text(json.dumps(doc))
         code, other_seed, _ = run_cli(["learn", "--instance", p, "--seed", 8,
                                        "--replay", log_path], capsys)
         assert code == 0
