@@ -3,7 +3,9 @@
 The runs cover the fixture (solve, learn, verify and reach), solve, learn
 and verify on one native and one scaled random (3, 2, 16) instance, verify
 on one native random (3, 2, 64) instance, whose learner spans several
-blocks of stages, and one campaign. They go through termlq.cli.main in one child process with the
+blocks of stages, solve and reach on one scaled random (8, 4, 256)
+instance, whose reports are mostly long per-stage stacks, and one
+campaign. They go through termlq.cli.main in one child process with the
 environment of PINNED: BLAS and OpenMP at one thread, and OpenBLAS on its
 Nehalem kernels, the oldest set that numpy's x86-64-v2 baseline runs on.
 Both the thread count and the kernel set OpenBLAS picks for the CPU change
@@ -33,6 +35,7 @@ PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS"
           "OPENBLAS_CORETYPE": "Nehalem"}
 RANDOM_DIMS = (3, 2, 16)
 LONG_DIMS = (3, 2, 64)
+WIDE_DIMS = (8, 4, 256)
 RANDOM_SEED = 0
 
 RUNS = {
@@ -47,6 +50,8 @@ RUNS = {
     "scaled-learn": ["learn", "--instance", "{scaled}", "--seed", "7"],
     "scaled-verify": ["verify", "--instance", "{scaled}", "--seed", "7"],
     "long-verify": ["verify", "--instance", "{long}", "--seed", "7"],
+    "wide-solve": ["solve", "--instance", "{wide}"],
+    "wide-reach": ["reach", "--instance", "{wide}"],
     "campaign": ["campaign", "--seed", "3", "--trials", "20"],
 }
 
@@ -62,6 +67,8 @@ DIGESTS = {
     "scaled-learn": "4faf1096b100829a48938e97430460f9f914306be8ee667509167ad42aea52e0",
     "scaled-verify": "b85dce91e175e1a6e2c03402ab92ad19fab2fcef3f7fb0f18f1191a2c7683a8e",
     "long-verify": "283ce9b8c6758a8bd790feb4aa5b3a9c61110badffd6488af6cf3bf4855c62d9",
+    "wide-solve": "92b32e7298477e69e06d635775da6e3d2d1583c277434f1ba1cb4060b45332c4",
+    "wide-reach": "2730ca0d6f2a65d973fd583e166ddaf88a90ddc1a3b4245eedb029cf19c0a6d4",
     "campaign": "bb5cab2f2818b30f28cd4b94b7fca440dc892bfa94b2a30f032e673fe3654418",
 }
 
@@ -70,8 +77,8 @@ def write_random_instances(directory: Path) -> dict[str, Path]:
     """One draw of standard-normal A, B, x0, xi with Q = R = H = I per
     dimension set: at RANDOM_DIMS written with A as drawn ("native") and with
     A scaled by 1/(2 sqrt(n)) ("scaled"), at LONG_DIMS with A as drawn
-    ("long"). json writes floats by repr, so the files parse back to these
-    exact arrays."""
+    ("long"), at WIDE_DIMS with A scaled ("wide"). json writes floats by
+    repr, so the files parse back to these exact arrays."""
     import numpy as np
 
     def draws(dims):
@@ -81,10 +88,14 @@ def write_random_instances(directory: Path) -> dict[str, Path]:
         B = rng.standard_normal((N + 1, n, m))
         return A, B, rng.standard_normal(n), rng.standard_normal(n)
 
-    A, B, x0, xi = draws(RANDOM_DIMS)
-    runs = (("native", (A, B, x0, xi)),
-            ("scaled", (A / (2.0 * np.sqrt(RANDOM_DIMS[0])), B, x0, xi)),
-            ("long", draws(LONG_DIMS)))
+    def scaled(draw):
+        A, B, x0, xi = draw
+        return A / (2.0 * np.sqrt(A.shape[1])), B, x0, xi
+
+    runs = (("native", draws(RANDOM_DIMS)),
+            ("scaled", scaled(draws(RANDOM_DIMS))),
+            ("long", draws(LONG_DIMS)),
+            ("wide", scaled(draws(WIDE_DIMS))))
     paths = {}
     for name, (A_k, B_k, x0_k, xi_k) in runs:
         stages, n, m = B_k.shape
