@@ -69,16 +69,16 @@ def _head(command: str, seed: int | None, inst: ProblemInstance | None) -> dict:
 
 
 def _schedule_dict(sched) -> dict:
-    # one row-major flat list per stage matrix
-    return {name: X.reshape(len(X), -1).tolist()
+    # one row-major flat row per stage matrix
+    return {name: X.reshape(len(X), -1)
             for name, X in (("P", sched.P), ("K", sched.K), ("K1", sched.K1))}
 
 
 def _landing(lambda_star, traj) -> dict:
     # the multiplier and the rollout it lands, closing every solve, learn
     # and verify report
-    return {"lambda_star": lambda_star.tolist(),
-            "trajectory": {"states": traj.states.tolist(), "inputs": traj.inputs.tolist()},
+    return {"lambda_star": lambda_star,
+            "trajectory": {"states": traj.states, "inputs": traj.inputs},
             "cost": traj.cost, "terminal_error": traj.terminal_error}
 
 
@@ -127,10 +127,10 @@ def _cmd_learn(args, doc: InstanceFile) -> dict:
     report = _head("learn", args.seed, inst)
     report["samples"] = args.samples
     report["schedule"] = _schedule_dict(learned)
-    report["nu"] = pack_symmetric(learned.Lambda).tolist()
+    report["nu"] = pack_symmetric(learned.Lambda)
     report["fit"] = {
-        "residuals": learned.fit_diagnostics.residual.tolist(),
-        "conditions": learned.fit_diagnostics.cond.tolist(),
+        "residuals": learned.fit_diagnostics.residual,
+        "conditions": learned.fit_diagnostics.cond,
     }
     report.update(_landing(learned.lambda_star, traj))
     return report
@@ -155,7 +155,7 @@ def _cmd_verify(args, doc: InstanceFile) -> dict:
         "input_gap": comparison.input_gap,
         "costate_gap": comparison.costate_gap,
         "terminal_errors": list(comparison.terminal_errors),
-        "per_stage_condition": comparison.per_stage_condition.tolist(),
+        "per_stage_condition": comparison.per_stage_condition,
         "kkt_cost": comparison.oracle.cost,
         "kkt_residual": comparison.oracle.kkt_residual,
     }
@@ -168,7 +168,7 @@ def _cmd_reach(args, doc: InstanceFile) -> tuple[dict, int]:
     report = _head("reach", None, inst)
     report["reachable"] = result.reachable
     report["g1_rank"] = result.rank
-    report["zeta"] = result.zeta.tolist() if result.zeta is not None else None
+    report["zeta"] = result.zeta
     return report, 0 if result.reachable else 3
 
 

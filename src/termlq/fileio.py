@@ -1,10 +1,11 @@
 """Instance files, replay logs, and byte-deterministic reports.
 
 Instances are JSON documents with keys n, m, N, A, B, Q, R, H, x0, xi and an
-optional learn block {l, seed, mean, covariance_scale}. Reports are emitted
-by a deterministic serializer: insertion-ordered keys and every float
-rendered at 17 significant digits, so identical runs produce byte-identical
-files. Replay logs are plain text, one transition per line.
+optional learn block {l, seed, mean, covariance_scale}; A and B are read in
+one conversion each. Reports are emitted by a deterministic serializer:
+insertion-ordered keys and every float rendered at 17 significant digits,
+so identical runs produce byte-identical files, with one format call per
+float64 stack. Replay logs are plain text, one transition per line.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -113,16 +114,25 @@ def load_instance_file(path: str | Path) -> InstanceFile:
     if n < 1 or m < 1 or N < 0:
         raise ParseError(f"dimensions out of range: n={n}, m={m}, N={N}")
 
-    def matrix_list(key: str, rows: int, cols: int) -> list[np.ndarray]:
+    def matrix_stack(key: str, rows: int, cols: int) -> np.ndarray | list[np.ndarray]:
         raw = _require(doc, key)
         if not isinstance(raw, list):
             raise ParseError(f"key '{key}': expected an array of matrices")
         if len(raw) != N + 1:
             raise ParseError(f"key '{key}': expected length {N + 1}, found {len(raw)}")
+        # one conversion of the whole stack; anything it misses goes to the
+        # per-matrix loop, whose errors name the key and index
+        try:
+            M = np.asarray(raw, dtype=float)
+            entries = chain.from_iterable(chain.from_iterable(raw))
+            if M.shape == (N + 1, rows, cols) and set(map(type, entries)) <= {int, float}:
+                return M
+        except (TypeError, ValueError, OverflowError):
+            pass
         return [_as_array(entry, f"{key}[{i}]", (rows, cols)) for i, entry in enumerate(raw)]
 
-    A = matrix_list("A", n, n)
-    B = matrix_list("B", n, m)
+    A = matrix_stack("A", n, n)
+    B = matrix_stack("B", n, m)
     Q = _as_array(_require(doc, "Q"), "Q", (n, n))
     R = _as_array(_require(doc, "R"), "R", (m, m))
     H = _as_array(_require(doc, "H"), "H", (n, n))
@@ -166,13 +176,6 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        if all(type(v) is float for v in obj):
-            # rows from ndarray.tolist(); exact floats only, since ints,
-            # bools and numpy scalars must go through _scalar
-            if not all(map(math.isfinite, obj)):
-                raise IoError("non-finite value in report")
-            out.append("[" + ", ".join(map(format, obj, repeat(FLOAT_FORMAT))) + "]")
-            return
         if all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in obj):
             out.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
             return
@@ -183,7 +186,18 @@ def _emit(obj, indent: int, out: list[str]) -> None:
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), indent, out)
+        if obj.dtype != np.float64 or obj.ndim not in (1, 2) or not obj.size:
+            _emit(obj.tolist(), indent, out)
+            return
+        # a float stack: one finiteness check and one format call, laid out
+        # as the list path lays out obj.tolist()
+        if not np.isfinite(obj).all():
+            raise IoError("non-finite value in report")
+        text = "[" + ", ".join(["%" + FLOAT_FORMAT] * obj.shape[-1]) + "]"
+        if obj.ndim == 2:
+            lead = "\n" + pad + "  "
+            text = "[" + lead + ("," + lead).join([text] * len(obj)) + "\n" + pad + "]"
+        out.append(text % tuple(obj.ravel().tolist()))
     elif obj is None or isinstance(obj, (bool, int, float, str, np.integer, np.floating)):
         out.append(_scalar(obj))
     else:

@@ -113,19 +113,19 @@ class ReachabilityResult:
 def make_instance(A: Sequence, B: Sequence, Q, R, H, x0, xi) -> ProblemInstance:
     """Build a ProblemInstance from array-likes, inferring dimensions.
 
-    A and B are sequences of stage matrices, or arrays with the stage on the
-    leading axis. Stage matrices of unequal shapes cannot be stacked: they
-    raise the ValidationError that require_valid gives for them.
+    A and B are 3-D stacks with the stage on the leading axis, converted
+    once, or sequences of stage matrices, converted one by one. Matrices of
+    unequal shapes raise the ValidationError that require_valid gives them.
     """
-    A_k = [np.asarray(a, dtype=float) for a in A]
-    B_k = [np.asarray(b, dtype=float) for b in B]
-    if not A_k or A_k[0].ndim != 2:
+    A_k, B_k = (X if isinstance(X, np.ndarray) and X.ndim == 3
+                else [np.asarray(x, dtype=float) for x in X] for X in (A, B))
+    if not len(A_k) or A_k[0].ndim != 2:
         raise ValidationError("A must be a nonempty sequence of matrices")
     n = A_k[0].shape[0]
-    m = B_k[0].shape[1] if B_k and B_k[0].ndim == 2 else 0
+    m = B_k[0].shape[1] if len(B_k) and B_k[0].ndim == 2 else 0
     N = len(A_k) - 1
     try:
-        A_s, B_s = ro(np.stack(A_k)), ro(np.stack(B_k))
+        A_s, B_s = (ro(X if isinstance(X, np.ndarray) else np.stack(X)) for X in (A_k, B_k))
     except ValueError:
         _require_dims(N, n, m, A_k, B_k)
         raise

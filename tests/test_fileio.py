@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import termlq.cli
+import termlq.fileio
 from termlq import (
     GaussianSpec,
     IoError,
@@ -68,10 +69,22 @@ class TestLoadInstance:
         with pytest.raises(ParseError, match=r"key 'B\[1\]'"):
             load_instance_file(p)
 
+    def test_stack_of_one_wrong_shape_names_first_index(self, fixture_file, tmp_path):
+        # every B(k) transposed: the stack converts, but to the wrong shape
+        doc = json.loads(fixture_file.read_text())
+        doc["B"] = [[list(col) for col in zip(*M)] for M in doc["B"]]
+        p = tmp_path / "transposed.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(
+                "key 'B[0]': expected shape (2, 1), found shape (1, 2)")):
+            load_instance_file(p)
+
     @pytest.mark.parametrize("key, index, value, found", [
         ("Q", (1, 1), "1", "str"), ("B", (2, 0, 0), True, "bool"),
         ("A", (0, 1, 0), None, "NoneType"), ("x0", (1,), "x", "str"), ("xi", (0,), {}, "dict"),
-        ("H", (0, 1), False, "bool")])
+        ("H", (0, 1), False, "bool"), ("A", (2, 1, 1), "5", "str"), ("A", (2, 0, 0), True, "bool"),
+        ("A", (2, 1, 0), None, "NoneType"), ("B", (1, 1, 0), "1", "str"),
+        ("B", (0, 0, 0), False, "bool"), ("B", (2, 1, 0), None, "NoneType")])
     def test_non_number_entry_names_key_and_index(self, fixture_file, tmp_path, key, index,
                                                   value, found):
         # the learn block's number rule, applied to every matrix and vector entry
@@ -93,6 +106,60 @@ class TestLoadInstance:
         p.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="key 'Q': not numeric"):
             load_instance_file(p)
+
+    @pytest.mark.parametrize("key, index", [("A", (2, 1, 0)), ("B", (1, 0, 0))])
+    def test_integer_beyond_float_range_in_a_stack_names_the_matrix(self, fixture_file,
+                                                                     tmp_path, key, index):
+        doc = json.loads(fixture_file.read_text())
+        k, i, j = index
+        doc[key][k][i][j] = 10 ** 400
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=rf"key '{key}\[{k}\]': not numeric"):
+            load_instance_file(p)
+
+    @pytest.mark.parametrize("key, value, found", [
+        ("A", "x", "str"), ("A", True, "bool"), ("B", None, "NoneType")])
+    def test_non_number_in_a_ragged_row_names_key_and_index(self, fixture_file, tmp_path,
+                                                           key, value, found):
+        # row 1 of stage 1 one entry longer than row 0, the extra entry not a number
+        doc = json.loads(fixture_file.read_text())
+        row = doc[key][1][1]
+        row.append(value)
+        p = tmp_path / "ragged.json"
+        p.write_text(json.dumps(doc))
+        where = re.escape(f"{key}[1][1][{len(row) - 1}]")
+        with pytest.raises(ParseError, match=f"key '{where}': expected a number, found {found}"):
+            load_instance_file(p)
+
+    def test_stacks_match_the_per_matrix_parse_bit_for_bit(self, fixture_file, tmp_path,
+                                                          monkeypatch):
+        # ints, exact and rounded, mixed with floats, signed zeros and the
+        # extremes of the float range
+        doc = json.loads(fixture_file.read_text())
+        doc["A"][1] = [[0, 2 ** 53 + 1], [-(2 ** 63), 2 ** 64 + 1]]
+        doc["A"][2] = [[10 ** 300, -0.0], [1.7976931348623157e308, -5e-324]]
+        doc["B"][0] = [[1 / 3], [-(2 ** 63) - 1]]
+        doc["B"][2] = [[0.0], [7]]
+        p = tmp_path / "mixed.json"
+        p.write_text(json.dumps(doc))
+        converted = []
+        as_array = termlq.fileio._as_array
+
+        def recording(value, key, shape):
+            converted.append(key)
+            return as_array(value, key, shape)
+
+        monkeypatch.setattr(termlq.fileio, "_as_array", recording)
+        inst = load_instance_file(p).instance
+        # one conversion per stack: no stage matrix went through _as_array
+        assert converted == ["Q", "R", "H", "x0", "xi"]
+        for key, stack in (("A", inst.A), ("B", inst.B)):
+            per_matrix = np.stack([as_array(M, f"{key}[{k}]", stack.shape[1:])
+                                   for k, M in enumerate(doc[key])])
+            by_float = np.array([float(v) for v in np.ravel(doc[key])]).reshape(stack.shape)
+            assert stack.dtype == np.float64
+            assert stack.tobytes() == per_matrix.tobytes() == by_float.tobytes(), key
 
     def test_missing_key_reported(self, fixture_file, tmp_path):
         doc = json.loads(fixture_file.read_text())
@@ -191,8 +258,8 @@ class TestReports:
         text = dumps_report({"v": 1 / 3})
         assert "0.33333333333333331" in text
         assert float(json.loads(text)["v"]) == 1 / 3
-        # sequences of plain floats take the fast path, anything else the
-        # per-element one; both must render as the reference does
+        # lists and tuples render element by element, as the reference
+        # does; float64 arrays take the stacked path, swept below
         cases = [
             ([True, 1, 2.0], "[true, 1, 2]"),
             ([10**20, 1.0], "[100000000000000000000, 1]"),
@@ -208,6 +275,59 @@ class TestReports:
             text = dumps_report({"v": value})
             assert text == f'{{\n  "v": {rendered}\n}}\n', value
             assert text == reference_dumps_report({"v": value}), value
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1, 1), (7, 1), (1, 7), (5, 3), (0,),
+                                       (0, 7), (7, 0)])
+    def test_float_arrays_render_as_the_reference(self, shape):
+        a = np.random.default_rng(5).standard_normal(shape)
+        for report in ({"v": a}, {"v": {"w": a, "n": 1}}, {"v": {"w": {"x": [a], "y": a}}}):
+            assert dumps_report(report) == reference_dumps_report(report), shape
+
+    def test_float_bit_patterns_render_as_the_reference(self):
+        bits = np.random.default_rng(6).integers(0, 2 ** 64, size=10_000, dtype=np.uint64)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1 / 3]
+        floats = bits.view(np.float64)
+        a = np.concatenate([special, floats[np.isfinite(floats)]])
+        assert len(a) > 9_900
+        for value in (a, a[:9_900].reshape(99, 100)):
+            report = {"v": {"w": value}}
+            assert dumps_report(report) == reference_dumps_report(report)
+        assert dumps_report({"v": a[:5]}) == (
+            '{\n  "v": [0, -0, 4.9406564584124654e-324, -4.9406564584124654e-324, '
+            '1.7976931348623157e+308]\n}\n')
+
+    def test_float_array_views_render_as_the_reference(self):
+        a = np.random.default_rng(7).standard_normal((6, 9))
+        frozen = a.copy()
+        frozen.setflags(write=False)
+        for view in (a.T, a[::2, ::3], a[:, 1], a[::-1, ::-2], a.T[1:4], frozen,
+                     frozen[1:, ::2], np.broadcast_to(a[0], (3, 9))):
+            report = {"v": {"w": view}}
+            assert dumps_report(report) == reference_dumps_report(report), view.strides
+
+    def test_other_arrays_render_as_lists(self):
+        cases = [
+            (np.array([[1, -2], [2 ** 62, 0]]), "[\n    [1, -2],\n    [4611686018427387904, 0]\n  ]"),
+            (np.array([True, False]), "[true, false]"),
+            (np.array([0.5, -2.0], dtype=np.float32), "[0.5, -2]"),
+            (np.array(2.5), "2.5"),
+            (np.zeros((2, 2, 1)), "[\n    [\n      [0],\n      [0]\n    ],\n"
+                                  "    [\n      [0],\n      [0]\n    ]\n  ]"),
+        ]
+        for value, rendered in cases:
+            text = dumps_report({"v": value})
+            assert text == f'{{\n  "v": {rendered}\n}}\n', value
+            assert text == reference_dumps_report({"v": value}), value
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere_in_a_float_array_refused(self, bad):
+        for index in ((0, 0), (2, 3), (4, 0), (0, 6), (4, 6)):
+            a = np.ones((5, 7))
+            a[index] = bad
+            for value in (a, a.T, a[index[0]]):
+                with pytest.raises(IoError, match="non-finite value in report"):
+                    dumps_report({"v": {"w": value}})
 
     def test_numpy_scalars_serialize_like_python(self):
         assert dumps_report({"v": np.float64(2.5)}) == dumps_report({"v": 2.5})
@@ -273,6 +393,28 @@ class TestReferenceSerializer:
                      ["reach", "--instance", fixture_file]):
             report = self._reports(argv, capsys, monkeypatch)
             assert dumps_report(report) == reference_dumps_report(report), argv[0]
+
+    STACKS = ("schedule.P", "schedule.K", "schedule.K1", "nu", "fit.residuals",
+              "fit.conditions", "lambda_star", "trajectory.states", "trajectory.inputs",
+              "comparison.per_stage_condition", "zeta")
+
+    def test_stacks_reach_the_writer_as_arrays(self, fixture_file, capsys, monkeypatch):
+        # a stack handed over as .tolist() rows renders the same bytes, one
+        # float at a time, and costs long reports their stacked path
+        found = set()
+        for argv in (["solve", "--instance", fixture_file],
+                     ["learn", "--instance", fixture_file, "--seed", 7, "--samples", 30],
+                     ["verify", "--instance", fixture_file],
+                     ["reach", "--instance", fixture_file]):
+            report = self._reports(argv, capsys, monkeypatch)
+            for path in self.STACKS:
+                value = report
+                for part in path.split("."):
+                    value = value.get(part) if isinstance(value, dict) else None
+                if value is not None:
+                    assert isinstance(value, np.ndarray), (argv[0], path, type(value))
+                    found.add(path)
+        assert found == set(self.STACKS)
 
     def test_long_solve_report_matches_reference(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "long.json"

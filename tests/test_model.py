@@ -116,6 +116,19 @@ class TestValidation:
             require_valid(make_instance(A, B, np.eye(2), np.eye(1), np.eye(2),
                                         np.ones(2), np.ones(2)))
 
+    def test_stacks_and_stage_lists_build_the_same_instance(self, example):
+        # a 3-D stack is taken in one conversion, a list stage by stage
+        A, B = np.array(example.A), example.B.astype(np.int64)
+        args = (example.Q, example.R, example.H, example.x0, example.xi)
+        from_stacks = make_instance(A, B, *args)
+        from_lists = make_instance(list(A), [b.tolist() for b in B], *args)
+        for key in ("A", "B"):
+            got, want = getattr(from_stacks, key), getattr(from_lists, key)
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+        A[0, 0, 0] += 1.0   # the instance holds its own copy
+        assert from_stacks.A[0, 0, 0] == from_lists.A[0, 0, 0]
+
     def test_stage_quantities_are_read_only_stacks(self, example, example_schedule,
                                                    example_lambda):
         traj = rollout(example, optimal_policy(example_schedule,
