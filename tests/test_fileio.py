@@ -308,7 +308,8 @@ class TestReports:
 
     def test_other_arrays_render_as_lists(self):
         cases = [
-            (np.array([[1, -2], [2 ** 62, 0]]), "[\n    [1, -2],\n    [4611686018427387904, 0]\n  ]"),
+            (np.array([[1, -2], [2 ** 62, 0]]),
+             "[\n    [1, -2],\n    [4611686018427387904, 0]\n  ]"),
             (np.array([True, False]), "[true, false]"),
             (np.array([0.5, -2.0], dtype=np.float32), "[0.5, -2]"),
             (np.array(2.5), "2.5"),
