@@ -387,27 +387,20 @@ class TestReferenceSerializer:
         assert out == dumps_report(seen[0])
         return seen[0]
 
-    def test_fixture_reports_match_reference(self, fixture_file, capsys, monkeypatch):
-        for argv in (["solve", "--instance", fixture_file],
-                     ["learn", "--instance", fixture_file, "--seed", 7, "--samples", 30],
-                     ["verify", "--instance", fixture_file],
-                     ["reach", "--instance", fixture_file]):
-            report = self._reports(argv, capsys, monkeypatch)
-            assert dumps_report(report) == reference_dumps_report(report), argv[0]
-
     STACKS = ("schedule.P", "schedule.K", "schedule.K1", "nu", "fit.residuals",
               "fit.conditions", "lambda_star", "trajectory.states", "trajectory.inputs",
               "comparison.per_stage_condition", "zeta")
 
-    def test_stacks_reach_the_writer_as_arrays(self, fixture_file, capsys, monkeypatch):
-        # a stack handed over as .tolist() rows renders the same bytes, one
-        # float at a time, and costs long reports their stacked path
+    def test_fixture_reports_match_reference(self, fixture_file, capsys, monkeypatch):
         found = set()
         for argv in (["solve", "--instance", fixture_file],
                      ["learn", "--instance", fixture_file, "--seed", 7, "--samples", 30],
                      ["verify", "--instance", fixture_file],
                      ["reach", "--instance", fixture_file]):
             report = self._reports(argv, capsys, monkeypatch)
+            assert dumps_report(report) == reference_dumps_report(report), argv[0]
+            # every per-stage stack reaches the writer as an array: as
+            # .tolist() rows it renders the same bytes one float at a time
             for path in self.STACKS:
                 value = report
                 for part in path.split("."):
